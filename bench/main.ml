@@ -626,49 +626,27 @@ let run_gemm () =
         (float_of_int images /. t)
         (if identical then "ok" else "DIFFERS"))
     [ (1, t1); (4, t4) ];
-  (* Micro: one small conv (16x16x8 -> 16, 3x3 Same), ns per LUT MAC.
-     Timed twice — raw table (the gated default) and the compressed
-     decode — so the cost of each path stays on record. *)
+  (* Micro: one small conv (16x16x8 -> 16, 3x3 Same), ns per LUT MAC. *)
   let input, filter, input_range, filter_range = conv_inputs () in
-  let micro_time ~compress =
-    let config =
-      Axconv.make_config ~compress
-        (Registry.lut (Registry.find_exn "mul8u_trunc8"))
-    in
-    let conv () =
-      Axconv.conv ~config ~input ~input_range ~filter ~filter_range
-        ~spec:Conv_spec.default ()
-    in
-    ignore (conv ());
-    let best = ref infinity in
-    for _ = 1 to 5 do
-      let t0 = Unix.gettimeofday () in
-      ignore (conv ());
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best
+  let config =
+    Axconv.make_config (Registry.lut (Registry.find_exn "mul8u_trunc8"))
   in
-  let micro_best = ref (micro_time ~compress:false) in
+  let conv () =
+    Axconv.conv ~config ~input ~input_range ~filter ~filter_range
+      ~spec:Conv_spec.default ()
+  in
+  ignore (conv ());
+  let micro_best = ref infinity in
+  for _ = 1 to 5 do
+    let t0 = Unix.gettimeofday () in
+    ignore (conv ());
+    let dt = Unix.gettimeofday () -. t0 in
+    if dt < !micro_best then micro_best := dt
+  done;
   let micro_macs = 16 * 16 * 16 * 72 in
   let ns_per_mac = !micro_best *. 1e9 /. float_of_int micro_macs in
-  let ns_per_mac_compressed =
-    micro_time ~compress:true *. 1e9 /. float_of_int micro_macs
-  in
-  Format.printf
-    "@.micro: %.3f ms/conv, %.2f ns/MAC raw, %.2f ns/MAC compressed (%d LUT \
-     MACs)@."
-    (1000. *. !micro_best) ns_per_mac ns_per_mac_compressed micro_macs;
-  (* What the kernel actually read instead of the 128 kB table. *)
-  let comp =
-    Ax_quant.Lut_compressed.of_lut
-      (Registry.lut (Registry.find_exn "mul8u_trunc8"))
-  in
-  let comp_mode = Ax_quant.Lut_compressed.mode_name comp in
-  let comp_bytes = Ax_quant.Lut_compressed.bytes comp in
-  let comp_ratio = Ax_quant.Lut_compressed.ratio comp in
-  Format.printf "lut: %s, %d B working set (%.1fx compression)@." comp_mode
-    comp_bytes comp_ratio;
+  Format.printf "@.micro: %.3f ms/conv, %.2f ns/MAC (%d LUT MACs)@."
+    (1000. *. !micro_best) ns_per_mac micro_macs;
   (* Domains-scaling gate: with chunk-level dynamic claiming the d4 run
      must not be slower than d1.  On single-core hosts (CI containers,
      this dev box) there is nothing to scale over, so the gate degrades
@@ -865,14 +843,6 @@ let run_gemm () =
             ("images", Int images);
             ("throughput", List [ row 1 t1; row 4 t4 ]);
             ("bitwise_domains_1_vs_4", Bool identical);
-            ( "lut_compression",
-              Obj
-                [
-                  ("multiplier", String "mul8u_trunc8");
-                  ("mode", String comp_mode);
-                  ("bytes", Int comp_bytes);
-                  ("ratio", Float comp_ratio);
-                ] );
             ( "scaling_gate",
               Obj
                 [
@@ -885,7 +855,6 @@ let run_gemm () =
                 [
                   ("macs", Int micro_macs);
                   ("seconds", Float !micro_best);
-                  ("ns_per_mac_compressed", Float ns_per_mac_compressed);
                   ("ns_per_mac", Float ns_per_mac);
                 ] );
             ( "alloc_gate",
@@ -931,14 +900,6 @@ let run_gemm () =
             images_per_sec = float_of_int images /. t4 };
         ];
       ns_per_mac = Some ns_per_mac;
-      lut_compression =
-        Some
-          {
-            Tfapprox.Perf.multiplier = "mul8u_trunc8";
-            comp_mode;
-            comp_bytes;
-            comp_ratio;
-          };
     };
   Format.printf "appended to %s@." history_path;
   if not gate_ok then begin
@@ -1454,7 +1415,6 @@ let run_explore () =
             images_per_sec = evals_per_sec };
         ];
       ns_per_mac = None;
-      lut_compression = None;
     };
   Format.printf "appended to %s (bench kind explore, evals/s as throughput)@."
     history_path

@@ -2,20 +2,12 @@ module Json = Ax_obs.Json
 
 type sample = { domains : int; seconds : float; images_per_sec : float }
 
-type compression = {
-  multiplier : string;
-  comp_mode : string;
-  comp_bytes : int;
-  comp_ratio : float;
-}
-
 type record = {
   label : string;
   bench : string;
   images : int;
   throughput : sample list;
   ns_per_mac : float option;
-  lut_compression : compression option;
 }
 
 let default_bench = "gemm"
@@ -45,21 +37,7 @@ let record_of_json ?(label = "") j =
   let ns_per_mac =
     Option.bind (Json.member "micro" j) (float_field "ns_per_mac")
   in
-  (* Tolerant like everything else here: older history lines have no
-     [lut_compression] member and parse to [None]; a present member
-     with missing fields degrades field-wise. *)
-  let lut_compression =
-    Option.map
-      (fun c ->
-        {
-          multiplier = Option.value ~default:"" (string_field "multiplier" c);
-          comp_mode = Option.value ~default:"" (string_field "mode" c);
-          comp_bytes = Option.value ~default:0 (int_field "bytes" c);
-          comp_ratio = Option.value ~default:0. (float_field "ratio" c);
-        })
-      (Json.member "lut_compression" j)
-  in
-  { label; bench; images; throughput; ns_per_mac; lut_compression }
+  { label; bench; images; throughput; ns_per_mac }
 
 let sample_to_json s =
   Json.Obj
@@ -77,22 +55,9 @@ let record_to_json r =
        ("images", Json.Int r.images);
        ("throughput", Json.List (List.map sample_to_json r.throughput));
      ]
-    @ (match r.ns_per_mac with
-      | Some v -> [ ("micro", Json.Obj [ ("ns_per_mac", Json.Float v) ]) ]
-      | None -> [])
     @
-    match r.lut_compression with
-    | Some c ->
-      [
-        ( "lut_compression",
-          Json.Obj
-            [
-              ("multiplier", Json.String c.multiplier);
-              ("mode", Json.String c.comp_mode);
-              ("bytes", Json.Int c.comp_bytes);
-              ("ratio", Json.Float c.comp_ratio);
-            ] );
-      ]
+    match r.ns_per_mac with
+    | Some v -> [ ("micro", Json.Obj [ ("ns_per_mac", Json.Float v) ]) ]
     | None -> [])
 
 let read_file path =

@@ -10,13 +10,6 @@
 
 type sample = { domains : int; seconds : float; images_per_sec : float }
 
-type compression = {
-  multiplier : string;  (** registry name the kernel ran with *)
-  comp_mode : string;   (** [Ax_quant.Lut_compressed.mode_name] label *)
-  comp_bytes : int;     (** encoded working set in bytes *)
-  comp_ratio : float;   (** 131072 / bytes *)
-}
-
 type record = {
   label : string;
   bench : string;
@@ -26,9 +19,6 @@ type record = {
   images : int;
   throughput : sample list;
   ns_per_mac : float option;
-  lut_compression : compression option;
-      (** how compressed the benchmarked multiplier's LUT was — absent
-          in pre-compression history lines, which still parse *)
 }
 
 val default_bench : string
@@ -39,7 +29,9 @@ val record_of_json : ?label:string -> Ax_obs.Json.t -> record
 (** Parse a [BENCH_gemm.json]-shaped document ([throughput] sample list
     plus [micro.ns_per_mac]); missing fields degrade to empty/[None].
     [label] is the fallback when the document carries none; a missing
-    [bench] member parses as {!default_bench}. *)
+    [bench] member parses as {!default_bench}.  Members it does not
+    know, such as the compressed-LUT summary of older history lines, are
+    ignored. *)
 
 val record_to_json : record -> Ax_obs.Json.t
 

@@ -4,7 +4,6 @@ module Q = Ax_quant.Quantization
 module Round = Ax_quant.Round
 module Range = Ax_quant.Range
 module Lut = Ax_arith.Lut
-module Lc = Ax_quant.Lut_compressed
 module S = Ax_arith.Signedness
 module Pool = Ax_pool.Pool
 
@@ -17,18 +16,17 @@ type config = {
   granularity : granularity;
   accumulator : Accumulator.t;
   domains : int;
-  compress : bool;
 }
 
 let default_chunk_size = 250
 
 let make_config ?(round_mode = Round.Nearest_even)
     ?(chunk_size = default_chunk_size) ?(granularity = Per_tensor)
-    ?(accumulator = Accumulator.Wide) ?(domains = 1) ?(compress = false) lut =
+    ?(accumulator = Accumulator.Wide) ?(domains = 1) lut =
   if chunk_size <= 0 then invalid_arg "Axconv.make_config: chunk_size";
   Pool.validate_domains ~what:"Axconv.make_config" domains;
   Accumulator.validate accumulator;
-  { lut; round_mode; chunk_size; granularity; accumulator; domains; compress }
+  { lut; round_mode; chunk_size; granularity; accumulator; domains }
 
 let filter_coeffs granularity signedness filter filter_range =
   let out_c = Filter.out_c filter in
@@ -110,40 +108,6 @@ let tile_taps = 128
    output — each patch row is produced entirely by whichever domain
    claims it — so this is a pure latency knob. *)
 let gemm_grain = 4 * tile_rows
-
-(* Per-view decoded product, for the checked-accumulator paths: one
-   closure built per conv, matching [Lc.lookup_code] bit for bit.
-   [corr] is the raw table's decode correction, used only by the
-   [Raw_view] arm. *)
-let product_of_view ~corr view vals =
-  match view with
-  | Lc.Exact_view -> fun ca cb -> vals.(ca) * vals.(cb)
-  | Lc.Masked_view { mask; decode_correction } ->
-    fun ca cb ->
-      let r = vals.(ca) * vals.(cb) land mask in
-      r - ((r lsr 15) * decode_correction)
-  | Lc.Low_view { shift; amask; bmask; tbl } ->
-    fun ca cb ->
-      (vals.(ca) * vals.(cb))
-      + tbl.{((ca land amask) lsl shift) lor (cb land bmask)}
-  | Lc.Split_view { s; low_mask; high_mask; high_shift; d1; d2 } ->
-    fun ca cb ->
-      (vals.(ca) * vals.(cb))
-      + d1.{(ca lsl s) lor (cb land low_mask)}
-      + d2.{((ca land high_mask) lsl high_shift) lor (cb lsr s)}
-  | Lc.Nibble_view { hi; lo } ->
-    fun ca cb ->
-      (vals.(ca) * vals.(cb))
-      + hi.{((ca lsr 4) lsl 8) lor cb}
-      + lo.{((ca land 15) lsl 8) lor cb}
-  | Lc.Sparse_view { sym; bitmap; bases; pop; corr } ->
-    fun ca cb ->
-      (vals.(ca) * vals.(cb))
-      + Lc.sparse_delta ~sym ~bitmap ~bases ~pop ~corr ca cb
-  | Lc.Raw_view table ->
-    fun ca cb ->
-      let raw = Bigarray.Array1.unsafe_get table ((ca lsl 8) lor cb) in
-      raw - ((raw lsr 15) * corr)
 
 let conv ?profile ?pool ?scratch ~config ~input ~input_range ~filter
     ~filter_range ?bias ~spec () =
@@ -242,29 +206,6 @@ let conv ?profile ?pool ?scratch ~config ~input ~input_range ~filter
   (* Hoisted table: without cross-module inlining, [Lut.unsafe_raw]
      would cost a call per MAC. *)
   let table = Lut.table lut in
-  (* Compressed working set: when the LUT's delta-vs-exact encoding fits
-     the 16 kB budget the kernel reads that instead of the 128 kB raw
-     table (memoised per physical LUT, exhaustively verified equal at
-     construction).  [Raw_view] means compression didn't pay — the
-     existing raw loops run unchanged, as they do with [compress]
-     off. *)
-  let comp_view =
-    if config.compress then begin
-      let c = charge Profile.Init (fun () -> Lc.of_lut lut) in
-      match Lc.view c with
-      | Lc.Raw_view _ -> None
-      | v -> Some (v, Lc.values c)
-    end
-    else None
-  in
-  let product_code =
-    match comp_view with
-    | Some (v, vals) -> product_of_view ~corr v vals
-    | None ->
-      fun ca cb ->
-        let raw = Bigarray.Array1.unsafe_get table ((ca lsl 8) lor cb) in
-        raw - ((raw lsr 15) * corr)
-  in
   let in_shape = Tensor.shape input in
   let images = Shape.(in_shape.n) in
   let out_buf = Tensor.buffer out in
@@ -276,186 +217,6 @@ let conv ?profile ?pool ?scratch ~config ~input ~input_range ~filter
   let rows_per_image = plan.Im2col.out_h * plan.Im2col.out_w in
   let patch_len = plan.Im2col.patch_len in
   let accumulator = config.accumulator in
-  (* Per-view compressed tap-block workers, selected once per conv.
-     These live outside [gemm_rows] on purpose: inlining all six decode
-     loops into the same function as the raw loops measurably degrades
-     the raw path's code generation (register pressure in the shared
-     loop nest), and the call costs one indirect jump per *tile*, not
-     per MAC.  Each worker runs the same r/p/k blocking as the raw arms
-     over explicit tile bounds. *)
-  let comp_wide_block =
-    match comp_view with
-    | None -> None
-    | Some (view, vals) ->
-      Some
-        (match view with
-        | Lc.Exact_view ->
-          (* Exact-product multiplier: no table at all, the product is
-             one integer multiply off two 256-entry code→value arrays. *)
-          fun mp acc r0 r1 k0 k1 p0 p1 ->
-            for r = r0 to r1 - 1 do
-              let mp_base = r * patch_len in
-              let acc_base = (r - r0) * out_c in
-              for p = p0 to p1 - 1 do
-                let ca = Char.code (Bytes.unsafe_get mp (mp_base + p)) in
-                let va = Array.unsafe_get vals ca in
-                let pf_base = p * out_c in
-                for k = k0 to k1 - 1 do
-                  let cb = Char.code (Bytes.unsafe_get pf (pf_base + k)) in
-                  let i = acc_base + k in
-                  Array.unsafe_set acc i
-                    (Array.unsafe_get acc i + (va * Array.unsafe_get vals cb))
-                done
-              done
-            done
-        | Lc.Masked_view { mask; _ } ->
-          (* Result-masking multiplier: encode the exact product, mask,
-             branch-free decode.  [decode_correction] in the view equals
-             this conv's [corr] — same LUT. *)
-          fun mp acc r0 r1 k0 k1 p0 p1 ->
-            for r = r0 to r1 - 1 do
-              let mp_base = r * patch_len in
-              let acc_base = (r - r0) * out_c in
-              for p = p0 to p1 - 1 do
-                let ca = Char.code (Bytes.unsafe_get mp (mp_base + p)) in
-                let va = Array.unsafe_get vals ca in
-                let pf_base = p * out_c in
-                for k = k0 to k1 - 1 do
-                  let cb = Char.code (Bytes.unsafe_get pf (pf_base + k)) in
-                  let r_ = va * Array.unsafe_get vals cb land mask in
-                  let i = acc_base + k in
-                  Array.unsafe_set acc i
-                    (Array.unsafe_get acc i + r_ - ((r_ lsr 15) * corr))
-                done
-              done
-            done
-        | Lc.Low_view { shift; amask; bmask; tbl } ->
-          fun mp acc r0 r1 k0 k1 p0 p1 ->
-            for r = r0 to r1 - 1 do
-              let mp_base = r * patch_len in
-              let acc_base = (r - r0) * out_c in
-              for p = p0 to p1 - 1 do
-                let ca = Char.code (Bytes.unsafe_get mp (mp_base + p)) in
-                let va = Array.unsafe_get vals ca in
-                let arow = (ca land amask) lsl shift in
-                let pf_base = p * out_c in
-                for k = k0 to k1 - 1 do
-                  let cb = Char.code (Bytes.unsafe_get pf (pf_base + k)) in
-                  let d =
-                    Bigarray.Array1.unsafe_get tbl (arow lor (cb land bmask))
-                  in
-                  let i = acc_base + k in
-                  Array.unsafe_set acc i
-                    (Array.unsafe_get acc i
-                    + (va * Array.unsafe_get vals cb)
-                    + d)
-                done
-              done
-            done
-        | Lc.Split_view { s; low_mask; high_mask; high_shift; d1; d2 } ->
-          (* The trunc/BAM workhorse: ~6 kB of delta tables, both rows
-             hoisted per tap, two L1 loads per MAC. *)
-          fun mp acc r0 r1 k0 k1 p0 p1 ->
-            for r = r0 to r1 - 1 do
-              let mp_base = r * patch_len in
-              let acc_base = (r - r0) * out_c in
-              for p = p0 to p1 - 1 do
-                let ca = Char.code (Bytes.unsafe_get mp (mp_base + p)) in
-                let va = Array.unsafe_get vals ca in
-                let a1 = ca lsl s in
-                let a2 = (ca land high_mask) lsl high_shift in
-                let pf_base = p * out_c in
-                for k = k0 to k1 - 1 do
-                  let cb = Char.code (Bytes.unsafe_get pf (pf_base + k)) in
-                  let d =
-                    Bigarray.Array1.unsafe_get d1 (a1 lor (cb land low_mask))
-                    + Bigarray.Array1.unsafe_get d2 (a2 lor (cb lsr s))
-                  in
-                  let i = acc_base + k in
-                  Array.unsafe_set acc i
-                    (Array.unsafe_get acc i
-                    + (va * Array.unsafe_get vals cb)
-                    + d)
-                done
-              done
-            done
-        | Lc.Nibble_view { hi; lo } ->
-          fun mp acc r0 r1 k0 k1 p0 p1 ->
-            for r = r0 to r1 - 1 do
-              let mp_base = r * patch_len in
-              let acc_base = (r - r0) * out_c in
-              for p = p0 to p1 - 1 do
-                let ca = Char.code (Bytes.unsafe_get mp (mp_base + p)) in
-                let va = Array.unsafe_get vals ca in
-                let h = (ca lsr 4) lsl 8 in
-                let l = (ca land 15) lsl 8 in
-                let pf_base = p * out_c in
-                for k = k0 to k1 - 1 do
-                  let cb = Char.code (Bytes.unsafe_get pf (pf_base + k)) in
-                  let d =
-                    Bigarray.Array1.unsafe_get hi (h lor cb)
-                    + Bigarray.Array1.unsafe_get lo (l lor cb)
-                  in
-                  let i = acc_base + k in
-                  Array.unsafe_set acc i
-                    (Array.unsafe_get acc i
-                    + (va * Array.unsafe_get vals cb)
-                    + d)
-                done
-              done
-            done
-        | Lc.Sparse_view { sym; bitmap; bases; pop; corr = scorr } ->
-          (* Near-exact multiplier: the common case is a zero delta —
-             one bitmap-byte probe — with the rank walk only on the
-             rare hit. *)
-          fun mp acc r0 r1 k0 k1 p0 p1 ->
-            for r = r0 to r1 - 1 do
-              let mp_base = r * patch_len in
-              let acc_base = (r - r0) * out_c in
-              for p = p0 to p1 - 1 do
-                let ca = Char.code (Bytes.unsafe_get mp (mp_base + p)) in
-                let va = Array.unsafe_get vals ca in
-                let flip = sym && ca > 128 in
-                let ca' = if flip then 256 - ca else ca in
-                let pf_base = p * out_c in
-                for k = k0 to k1 - 1 do
-                  let cb = Char.code (Bytes.unsafe_get pf (pf_base + k)) in
-                  let cb' = if flip then (256 - cb) land 0xff else cb in
-                  let idx = (ca' lsl 8) lor cb' in
-                  let byte = Bigarray.Array1.unsafe_get bitmap (idx lsr 3) in
-                  let bit = idx land 7 in
-                  let d =
-                    if (byte lsr bit) land 1 = 0 then 0
-                    else begin
-                      let g = idx lsr 5 in
-                      let j = (idx land 31) lsr 3 in
-                      let base = ref (Bigarray.Array1.unsafe_get bases g) in
-                      for t = 0 to j - 1 do
-                        base :=
-                          !base
-                          + Bigarray.Array1.unsafe_get pop
-                              (Bigarray.Array1.unsafe_get bitmap
-                                 ((g lsl 2) + t))
-                      done;
-                      Bigarray.Array1.unsafe_get scorr
-                        (!base
-                        + Bigarray.Array1.unsafe_get pop
-                            (byte land ((1 lsl bit) - 1)))
-                    end
-                  in
-                  let i = acc_base + k in
-                  Array.unsafe_set acc i
-                    (Array.unsafe_get acc i
-                    + (va * Array.unsafe_get vals cb)
-                    + d)
-                done
-              done
-            done
-        | Lc.Raw_view _ ->
-          (* [comp_view] never holds a [Raw_view] — that case is
-             normalised to [None] above. *)
-          assert false)
-  in
   let start = ref 0 in
   let chunk_idx = ref 0 in
   while !start < images do
@@ -488,8 +249,8 @@ let conv ?profile ?pool ?scratch ~config ~input ~input_range ~filter
             let p0 = ref 0 in
             while !p0 < taps do
               let p1 = min taps (!p0 + tile_taps) in
-              (match (accumulator, comp_wide_block) with
-              | Accumulator.Wide, None when corr = 0 ->
+              (match accumulator with
+              | Accumulator.Wide when corr = 0 ->
                 (* Fastest path: unsigned LUT entries decode to
                    themselves, so the lookup is a bare table read. *)
                 for r = !r0 to r1 - 1 do
@@ -510,7 +271,7 @@ let conv ?profile ?pool ?scratch ~config ~input ~input_range ~filter
                     done
                   done
                 done
-              | Accumulator.Wide, None ->
+              | Accumulator.Wide ->
                 (* Fast path: no per-step clamping, and the signed
                    decode is the branch-free [raw - sign_bit * corr]
                    (equal to [Lut.lookup_code] bit for bit). *)
@@ -533,13 +294,8 @@ let conv ?profile ?pool ?scratch ~config ~input ~input_range ~filter
                     done
                   done
                 done
-              | Accumulator.Wide, Some block ->
-                (* Compressed view: one indirect call per tile into the
-                   per-view worker selected above. *)
-                block mp acc !r0 r1 !k0 k1 !p0 p1
-              | ( ( Accumulator.Saturating _ | Accumulator.Wrapping _
-                  | Accumulator.Lower_or _ ),
-                  None ) ->
+              | Accumulator.Saturating _ | Accumulator.Wrapping _
+              | Accumulator.Lower_or _ ->
                 for r = !r0 to r1 - 1 do
                   let mp_base = (r * patch_len) in
                   let acc_base = (r - !r0) * out_c in
@@ -554,28 +310,6 @@ let conv ?profile ?pool ?scratch ~config ~input ~input_range ~filter
                         Bigarray.Array1.unsafe_get table (ca_sh lor cb)
                       in
                       let v = raw - ((raw lsr 15) * corr) in
-                      let i = acc_base + k in
-                      Array.unsafe_set acc i
-                        (Accumulator.add accumulator (Array.unsafe_get acc i)
-                           v)
-                    done
-                  done
-                done
-              | ( ( Accumulator.Saturating _ | Accumulator.Wrapping _
-                  | Accumulator.Lower_or _ ),
-                  Some _ ) ->
-                (* Checked accumulators clamp per step anyway, so the
-                   generic per-view product closure costs little
-                   relative to the existing arithmetic. *)
-                for r = !r0 to r1 - 1 do
-                  let mp_base = (r * patch_len) in
-                  let acc_base = (r - !r0) * out_c in
-                  for p = !p0 to p1 - 1 do
-                    let ca = Char.code (Bytes.unsafe_get mp (mp_base + p)) in
-                    let pf_base = p * out_c in
-                    for k = !k0 to k1 - 1 do
-                      let cb = Char.code (Bytes.unsafe_get pf (pf_base + k)) in
-                      let v = product_code ca cb in
                       let i = acc_base + k in
                       Array.unsafe_set acc i
                         (Accumulator.add accumulator (Array.unsafe_get acc i)

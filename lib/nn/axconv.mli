@@ -40,18 +40,6 @@ type config = {
           unless {!conv} is handed one — and each patch/output row is
           computed entirely by one domain, so results are bit-identical
           for any value. *)
-  compress : bool;
-      (** Read the multiplier through its {!Ax_quant.Lut_compressed}
-          encoding when one fits the 16 kB cache budget (the CPU
-          analogue of the paper's texture-cache binding).  Encodings are
-          exhaustively verified equal to the raw table at construction,
-          so this flag cannot change any output bit — only which decode
-          loop runs.  Off by default: the tiled kernel reads the raw
-          table one load per MAC with strong row locality, which beats
-          every compressed decode when the table is cache-warm (see
-          EXPERIMENTS.md, GEMM hot path); enable it on hosts or
-          workloads where the 128 kB table demonstrably thrashes the
-          cache. *)
 }
 
 val default_chunk_size : int
@@ -63,11 +51,10 @@ val make_config :
   ?granularity:granularity ->
   ?accumulator:Accumulator.t ->
   ?domains:int ->
-  ?compress:bool ->
   Ax_arith.Lut.t ->
   config
 (** Defaults: nearest-even rounding, chunk 250, per-tensor, wide
-    accumulator, single domain, compression off (raw table). *)
+    accumulator, single domain. *)
 
 val conv :
   ?profile:Profile.t ->

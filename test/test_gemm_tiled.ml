@@ -110,7 +110,13 @@ let accumulators =
 
 let granularities = [ Axconv.Per_tensor; Axconv.Per_channel ]
 
-let multipliers = [| "mul8u_exact"; "mul8u_trunc8"; "mul8s_exact" |]
+(* Exact and approximate tables of both signednesses, so every
+   accumulator model is checked against a signed approximate LUT too. *)
+let multipliers =
+  [|
+    "mul8u_exact"; "mul8u_trunc8"; "mul8s_exact"; "mul8s_mitchell";
+    "mul8u_drum4";
+  |]
 
 let test_sweep () =
   let cases = ref 0 in
@@ -132,7 +138,7 @@ let test_sweep () =
     let input_range = Range.of_tensor input in
     let fmin, fmax = Filter.min_max filter in
     let filter_range = Range.make ~min:fmin ~max:fmax in
-    let entry = Registry.find_exn multipliers.(id mod 3) in
+    let entry = Registry.find_exn multipliers.(id mod Array.length multipliers) in
     let bias =
       if id mod 2 = 0 then Some (Array.init out_c (fun k -> 0.01 *. float_of_int k))
       else None

@@ -22,7 +22,6 @@ let record ?(label = "r") ?(bench = Perf.default_bench) ?(images = 2)
           { Perf.domains; seconds = 1.0; images_per_sec = ips })
         throughput;
     ns_per_mac;
-    lut_compression = None;
   }
 
 (* --- parsing --- *)
@@ -58,27 +57,7 @@ let test_record_json_round_trip () =
   let no_mac' =
     Perf.record_of_json (Json.parse (Json.to_string (Perf.record_to_json no_mac)))
   in
-  check_bool "absent ns/MAC stays absent" true (no_mac'.Perf.ns_per_mac = None);
-  let comp =
-    {
-      (record ~ns_per_mac:2.2 [ (1, 3.0) ]) with
-      Perf.lut_compression =
-        Some
-          {
-            Perf.multiplier = "mul8u_trunc8";
-            comp_mode = "split-factored";
-            comp_bytes = 6144;
-            comp_ratio = 21.3;
-          };
-    }
-  in
-  let comp' =
-    Perf.record_of_json (Json.parse (Json.to_string (Perf.record_to_json comp)))
-  in
-  check_bool "lut compression round trips" true (comp = comp');
-  (* Pre-compression history lines keep parsing: the member is optional. *)
-  check_bool "absent compression stays absent" true
-    (no_mac'.Perf.lut_compression = None)
+  check_bool "absent ns/MAC stays absent" true (no_mac'.Perf.ns_per_mac = None)
 
 let test_utc_label_shape () =
   let l = Perf.utc_label () in
@@ -108,6 +87,38 @@ let test_history_round_trip_and_corruption () =
       Alcotest.(check (list string))
         "order kept, corrupt line skipped" [ "a"; "b"; "c" ]
         (List.map (fun r -> r.Perf.label) history))
+
+(* History lines written while the gemm bench still timed a compressed
+   LUT read path carry an extra member; they must keep parsing to the
+   same record and take part in the gate like any other line. *)
+let legacy_history_line =
+  {|{"label": "2026-08-01T00:00:00Z", "bench": "gemm", "images": 4,
+     "throughput": [{"domains": 1, "seconds": 1.0, "images_per_sec": 8.0}],
+     "micro": {"ns_per_mac": 4.75},
+     "lut_compression": {"multiplier": "mul8u_trunc8",
+                         "mode": "split-factored", "bytes": 6144,
+                         "ratio": 21.3}}|}
+
+let test_legacy_history_line () =
+  let r = Perf.record_of_json (Json.parse legacy_history_line) in
+  check_bool "parses to the same record" true
+    (r
+    = record ~label:"2026-08-01T00:00:00Z" ~images:4 ~ns_per_mac:4.75
+        [ (1, 8.0) ]);
+  with_temp_file (fun path ->
+      let oc = open_out path in
+      output_string oc
+        (String.concat " " (String.split_on_char '\n' legacy_history_line));
+      output_char oc '\n';
+      close_out oc;
+      let history = Perf.load_history path in
+      check_int "loaded from a history file" 1 (List.length history);
+      let slow = record ~ns_per_mac:9.5 [ (1, 4.0) ] in
+      check_bool "gates a slower run" true
+        (Perf.regressed (Perf.gate ~threshold:0.2 ~history ~current:slow));
+      let same = record ~ns_per_mac:4.75 [ (1, 8.0) ] in
+      check_bool "passes an equal run" false
+        (Perf.regressed (Perf.gate ~threshold:0.2 ~history ~current:same)))
 
 (* --- gate --- *)
 
@@ -241,6 +252,8 @@ let () =
         [
           Alcotest.test_case "round trip and corruption" `Quick
             test_history_round_trip_and_corruption;
+          Alcotest.test_case "legacy compressed-LUT line" `Quick
+            test_legacy_history_line;
         ] );
       ( "gate",
         [
