@@ -13,15 +13,15 @@
      dune exec bench/main.exe -- round-modes
      dune exec bench/main.exe -- per-layer
      dune exec bench/main.exe -- device-sweep
-     dune exec bench/main.exe -- pool    # sharded emulator, domains 1 vs N
-     dune exec bench/main.exe -- gemm    # hot-path throughput + alloc/obs gates
-     dune exec bench/main.exe -- history # bench trajectory + regression gate
-     dune exec bench/main.exe -- trace   # Chrome trace + metrics JSON dump
+     dune exec bench/main.exe -- serve   # daemon torture run
+     dune exec bench/main.exe -- gemm    # alloc/obs/conc/scaling gates
      dune exec bench/main.exe -- resilience  # LUT-bit fault sensitivity
 
    CPU columns are measured on this host over a small image sample and
    scaled (reported); GPU columns come from the ax_gpusim execution
-   model.  See EXPERIMENTS.md for the paper-vs-ours comparison. *)
+   model.  See EXPERIMENTS.md for the paper-vs-ours comparison.
+   End-to-end throughput, latency and the per-layer ledger are measured
+   by bench/e2e, whose compare.exe is the repo's performance gate. *)
 
 open Bechamel
 open Toolkit
@@ -47,6 +47,11 @@ let images_measured =
   | None -> 2
 
 let section title = Format.printf "@.==== %s ====@.@." title
+
+let write_file path text =
+  let oc = open_out path in
+  output_string oc text;
+  close_out oc
 
 (* ------------------------------------------------------------------ *)
 (* E1: Table I                                                         *)
@@ -425,158 +430,6 @@ let run_accumulator_ablation () =
     "point); saturation degrades gracefully, wrap-around does not.@."
 
 (* ------------------------------------------------------------------ *)
-(* Trace mode: observability dump                                      *)
-(* ------------------------------------------------------------------ *)
-
-let write_file path text =
-  let oc = open_out path in
-  output_string oc text;
-  close_out oc
-
-let run_trace () =
-  section "Trace: one instrumented ResNet-8 inference (Chrome trace + metrics)";
-  let graph = Resnet.build ~depth:8 () in
-  let approx =
-    Tfapprox.Emulator.approximate_model ~multiplier:"mul8u_trunc8" graph
-  in
-  let data = (Cifar.generate ~n:images_measured ()).Cifar.images in
-  let tracer = Ax_obs.Trace.create () in
-  let profile = Ax_nn.Profile.create ~trace:tracer () in
-  ignore
-    (Tfapprox.Emulator.run ~profile ~backend:Tfapprox.Emulator.Cpu_gemm approx
-       data);
-  let metrics = Ax_nn.Profile.metrics profile in
-  ignore
-    (Experiments.measured_lut_hit_rate ~metrics ~device:Device.gtx_1080
-       ~graph:approx ~sample:data ());
-  let trace_path = "tfapprox_trace_resnet8.json" in
-  let metrics_path = "tfapprox_metrics_resnet8.json" in
-  write_file trace_path (Ax_obs.Trace.chrome_json_string tracer);
-  write_file metrics_path
-    (Ax_obs.Json.to_string
-       (Ax_obs.Metrics.to_json (Ax_obs.Metrics.snapshot metrics)));
-  Format.printf "wrote %s (%d spans) and %s@." trace_path
-    (Ax_obs.Trace.span_count tracer)
-    metrics_path;
-  Format.printf "phases: %a@." Ax_nn.Profile.pp_breakdown
-    (Ax_nn.Profile.breakdown profile);
-  Format.printf "lut lookups: %d, macs: %d@."
-    (Ax_nn.Profile.lut_lookups profile)
-    (Ax_nn.Profile.macs profile)
-
-(* ------------------------------------------------------------------ *)
-(* Pool: sharded emulator scaling                                      *)
-(* ------------------------------------------------------------------ *)
-
-let run_pool () =
-  section "Pool: per-image sharded emulation, domains 1 vs N (ResNet-8)";
-  let images = max images_measured 4 in
-  let graph = Resnet.build ~depth:8 () in
-  let data = (Cifar.generate ~n:images ()).Cifar.images in
-  let time_run ~domains =
-    let approx =
-      Tfapprox.Emulator.approximate_model ~multiplier:"mul8u_trunc8" ~domains
-        graph
-    in
-    let backend = Tfapprox.Emulator.Cpu_gemm in
-    (* Warm-up builds (or grows) the pool and touches every LUT page. *)
-    ignore (Tfapprox.Emulator.run ~domains ~backend approx data);
-    let best = ref infinity and out = ref None in
-    for _ = 1 to 3 do
-      let t0 = Unix.gettimeofday () in
-      let o = Tfapprox.Emulator.run ~domains ~backend approx data in
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt;
-      out := Some o
-    done;
-    (!best, Option.get !out)
-  in
-  Format.printf "host: %d recommended domain(s); %d images per run@.@."
-    (Domain.recommended_domain_count ())
-    images;
-  let base_t, base_out = time_run ~domains:1 in
-  Format.printf "%-8s %12s %12s %9s %10s@." "domains" "best time" "images/s"
-    "speedup" "bitwise";
-  List.iter
-    (fun d ->
-      let t, out = time_run ~domains:d in
-      let identical = Tensor.max_abs_diff base_out out = 0. in
-      Format.printf "%-8d %10.1f ms %12.1f %8.2fx %10s@." d (1000. *. t)
-        (float_of_int images /. t)
-        (base_t /. t)
-        (if identical then "ok" else "DIFFERS"))
-    [ 1; 2; 4 ];
-  let s = Ax_pool.Pool.stats (Ax_pool.Pool.default ()) in
-  Format.printf
-    "@.pool: %d domain(s), %d parallel call(s), %d inline call(s), %d \
-     task(s), %.1f ms busy@."
-    (Ax_pool.Pool.default_size ())
-    s.Ax_pool.Pool.parallel_calls s.Ax_pool.Pool.inline_calls
-    s.Ax_pool.Pool.tasks
-    (1000. *. s.Ax_pool.Pool.busy_seconds);
-  (* Where does the d4 regression live?  One instrumented domains:4 run
-     with per-domain span attribution: busy/idle fraction per slot,
-     the imbalance gauge, per-image latency quantiles, and a Chrome
-     trace with one tid row per domain. *)
-  Format.printf "@.-- instrumented domains:4 run --@.";
-  let pool = Ax_pool.Pool.ensure ~domains:4 in
-  let before = Ax_pool.Pool.stats pool in
-  let tracer = Ax_obs.Trace.create () in
-  let profile = Ax_nn.Profile.create ~trace:tracer () in
-  let approx =
-    Tfapprox.Emulator.approximate_model ~multiplier:"mul8u_trunc8" ~domains:4
-      graph
-  in
-  ignore
-    (Tfapprox.Emulator.run ~profile ~domains:4
-       ~backend:Tfapprox.Emulator.Cpu_gemm approx data);
-  let after = Ax_pool.Pool.stats pool in
-  let delta =
-    {
-      after with
-      Ax_pool.Pool.fanout_wall_seconds =
-        after.Ax_pool.Pool.fanout_wall_seconds
-        -. before.Ax_pool.Pool.fanout_wall_seconds;
-      per_domain_busy_seconds =
-        Array.mapi
-          (fun i b -> b -. before.Ax_pool.Pool.per_domain_busy_seconds.(i))
-          after.Ax_pool.Pool.per_domain_busy_seconds;
-    }
-  in
-  let wall = delta.Ax_pool.Pool.fanout_wall_seconds in
-  Format.printf "%-8s %12s %8s %8s@." "domain" "busy" "busy%" "idle%";
-  Array.iteri
-    (fun i busy ->
-      let frac = if wall > 0. then Float.min 1. (busy /. wall) else 0. in
-      Format.printf "%-8d %10.1f ms %7.1f%% %7.1f%%@." i (1000. *. busy)
-        (100. *. frac)
-        (100. *. (1. -. frac)))
-    delta.Ax_pool.Pool.per_domain_busy_seconds;
-  Format.printf "imbalance (1 - mean/max busy): %.3f@."
-    (Ax_pool.Pool.imbalance delta);
-  let snap = Ax_obs.Metrics.snapshot (Ax_nn.Profile.metrics profile) in
-  (match Ax_obs.Metrics.find_histogram snap "emulator_image_seconds" with
-  | Some h ->
-    Format.printf
-      "per-image latency: n=%d p50=%.1f ms p90=%.1f ms p99=%.1f ms@."
-      h.Ax_obs.Metrics.count
-      (1000. *. h.Ax_obs.Metrics.p50)
-      (1000. *. h.Ax_obs.Metrics.p90)
-      (1000. *. h.Ax_obs.Metrics.p99)
-  | None -> ());
-  let trace_path = "tfapprox_trace_pool.json" in
-  write_file trace_path (Ax_obs.Trace.chrome_json_string tracer);
-  let tids =
-    List.sort_uniq compare
-      (List.map
-         (fun sp -> sp.Ax_obs.Trace.tid)
-         (Ax_obs.Trace.spans tracer))
-  in
-  Format.printf "wrote %s (%d spans on %d distinct tid rows)@." trace_path
-    (Ax_obs.Trace.span_count tracer)
-    (List.length tids)
-
-(* ------------------------------------------------------------------ *)
 (* GEMM: hot-path throughput + allocation discipline                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -590,6 +443,12 @@ let run_pool () =
    matrix is tens of kilobytes) blows straight past it.  CI runs this
    section in smoke mode and fails the leg if the gate trips. *)
 let alloc_words_per_chunk_threshold = 512
+
+(* Documented gates (DESIGN.md §5d, §5g): enabled profiling+tracing, and
+   the off-mode Ax_conc shim passthrough, must each cost under 2% of the
+   ResNet-8 run. *)
+let obs_overhead_threshold_pct = 2.0
+let conc_overhead_threshold_pct = 2.0
 
 let run_gemm () =
   section "GEMM: ApproxGEMM hot path (ResNet-8 cpu-gemm + allocation gate)";
@@ -705,14 +564,6 @@ let run_gemm () =
      each attempt, minimum overhead across attempts — both minimize the
      influence of scheduler noise, which easily exceeds the 2% budget on
      a busy CI host; a real per-event cost shows up in every attempt. *)
-  let overhead_threshold_pct =
-    match Sys.getenv_opt "TFAPPROX_OBS_OVERHEAD_PCT" with
-    | Some s -> (
-      match float_of_string_opt (String.trim s) with
-      | Some v when v > 0. -> v
-      | Some _ | None -> 2.0)
-    | None -> 2.0
-  in
   let approx_plain =
     Tfapprox.Emulator.approximate_model ~multiplier:"mul8u_trunc8" graph
   in
@@ -748,10 +599,10 @@ let run_gemm () =
     let pct = Float.max 0. (100. *. ((on /. off) -. 1.)) in
     if pct < !overhead_pct then overhead_pct := pct
   done;
-  let obs_ok = !overhead_pct < overhead_threshold_pct in
+  let obs_ok = !overhead_pct < obs_overhead_threshold_pct in
   Format.printf
     "obs overhead: %.2f%% enabled-vs-disabled (threshold %.1f%%): %s@."
-    !overhead_pct overhead_threshold_pct
+    !overhead_pct obs_overhead_threshold_pct
     (if obs_ok then "ok" else "FAIL");
   (* Checked-wrapper overhead gate: the pool and daemon route every
      lock/condvar/atomic through the Ax_conc shims, whose off-mode path
@@ -766,14 +617,6 @@ let run_gemm () =
      [collect]) — flipping modes while pool workers idle inside an
      off-mode wait can produce bookkeeping artefacts, which is fine
      here because only the op count is of interest. *)
-  let conc_threshold_pct =
-    match Sys.getenv_opt "TFAPPROX_CONC_OVERHEAD_PCT" with
-    | Some s -> (
-      match float_of_string_opt (String.trim s) with
-      | Some v when v > 0. -> v
-      | Some _ | None -> 2.0)
-    | None -> 2.0
-  in
   (* The 4-domain GEMM split is the path that actually goes through the
      pool's checked locks; the 1-domain run stays inline and performs
      no shim operations at all. *)
@@ -818,11 +661,11 @@ let run_gemm () =
     Float.max 0. ((t_shim -. t_raw) /. float_of_int (2 * iters))
   in
   let conc_pct = 100. *. (float_of_int conc_ops *. per_op_s /. t_off) in
-  let conc_ok = conc_pct < conc_threshold_pct in
+  let conc_ok = conc_pct < conc_overhead_threshold_pct in
   Format.printf
     "conc overhead: %d shim ops x %.1f ns passthrough = %.4f%% of the \
      off-mode run (threshold %.1f%%): %s@."
-    conc_ops (per_op_s *. 1e9) conc_pct conc_threshold_pct
+    conc_ops (per_op_s *. 1e9) conc_pct conc_overhead_threshold_pct
     (if conc_ok then "ok" else "FAIL");
   let open Ax_obs.Json in
   let row d t =
@@ -869,39 +712,18 @@ let run_gemm () =
               Obj
                 [
                   ("percent", Float !overhead_pct);
-                  ("threshold_percent", Float overhead_threshold_pct);
+                  ("threshold_percent", Float obs_overhead_threshold_pct);
                   ("pass", Bool obs_ok);
                 ] );
             ( "conc_overhead",
               Obj
                 [
                   ("percent", Float conc_pct);
-                  ("threshold_percent", Float conc_threshold_pct);
+                  ("threshold_percent", Float conc_overhead_threshold_pct);
                   ("pass", Bool conc_ok);
                 ] );
           ]));
   Format.printf "wrote BENCH_gemm.json@.";
-  (* Append this run to the benchmark trajectory so [bench -- history]
-     can gate future runs against the best values ever reached. *)
-  let history_path =
-    Option.value ~default:"BENCH_history.jsonl"
-      (Sys.getenv_opt "TFAPPROX_BENCH_HISTORY")
-  in
-  Tfapprox.Perf.append_history history_path
-    {
-      Tfapprox.Perf.label = Tfapprox.Perf.utc_label ();
-      bench = Tfapprox.Perf.default_bench;
-      images;
-      throughput =
-        [
-          { Tfapprox.Perf.domains = 1; seconds = t1;
-            images_per_sec = float_of_int images /. t1 };
-          { Tfapprox.Perf.domains = 4; seconds = t4;
-            images_per_sec = float_of_int images /. t4 };
-        ];
-      ns_per_mac = Some ns_per_mac;
-    };
-  Format.printf "appended to %s@." history_path;
   if not gate_ok then begin
     Format.eprintf
       "gemm allocation gate FAILED: %.0f words/chunk > %d (see DESIGN.md)@."
@@ -912,14 +734,14 @@ let run_gemm () =
     Format.eprintf
       "observability overhead gate FAILED: %.2f%% > %.1f%% (see DESIGN.md \
        \xc2\xa75d)@."
-      !overhead_pct overhead_threshold_pct;
+      !overhead_pct obs_overhead_threshold_pct;
     exit 1
   end;
   if not conc_ok then begin
     Format.eprintf
       "checked-wrapper overhead gate FAILED: %.2f%% > %.1f%% (see DESIGN.md \
        \xc2\xa75g)@."
-      conc_pct conc_threshold_pct;
+      conc_pct conc_overhead_threshold_pct;
     exit 1
   end;
   if not scaling_ok then begin
@@ -929,45 +751,6 @@ let run_gemm () =
       (float_of_int images /. t1);
     exit 1
   end
-
-(* ------------------------------------------------------------------ *)
-(* History: benchmark trajectory + regression gate                     *)
-(* ------------------------------------------------------------------ *)
-
-let run_history () =
-  section "History: benchmark trajectory & regression gate";
-  let history_path =
-    Option.value ~default:"BENCH_history.jsonl"
-      (Sys.getenv_opt "TFAPPROX_BENCH_HISTORY")
-  in
-  let current_path = "BENCH_gemm.json" in
-  if not (Sys.file_exists current_path) then begin
-    Format.eprintf "no %s — run `bench -- gemm` first@." current_path;
-    exit 1
-  end;
-  let current = Tfapprox.Perf.of_file current_path in
-  let history = Tfapprox.Perf.load_history history_path in
-  if history = [] then
-    Format.printf "history %s is empty — recording only, nothing to gate@."
-      history_path
-  else begin
-    Format.printf "trajectory (%s, %d record(s)):@.@." history_path
-      (List.length history);
-    Format.printf "%a@." Tfapprox.Perf.pp_history history
-  end;
-  let threshold = Tfapprox.Perf.threshold_from_env () in
-  let verdicts = Tfapprox.Perf.gate ~threshold ~history ~current in
-  if verdicts <> [] then begin
-    Format.printf "current %s vs best of history (threshold %.0f%%):@.@."
-      current_path (100. *. threshold);
-    Format.printf "%a@." Tfapprox.Perf.pp_verdicts verdicts
-  end;
-  if Tfapprox.Perf.regressed verdicts then begin
-    Format.eprintf "perf regression gate FAILED (threshold %.0f%%)@."
-      (100. *. threshold);
-    exit 1
-  end
-  else Format.printf "perf regression gate: ok@."
 
 (* ------------------------------------------------------------------ *)
 (* Resilience: fault-injection sensitivity                             *)
@@ -1025,7 +808,7 @@ let run_resilience () =
   Format.printf "@.-- csv --@.%s" (Ax_resilience.Campaign.csv report)
 
 (* ------------------------------------------------------------------ *)
-(* Serve: daemon throughput + torture                                  *)
+(* Serve: torture                                                      *)
 (* ------------------------------------------------------------------ *)
 
 module Server = Ax_serve.Server
@@ -1038,70 +821,6 @@ let temp_socket tag =
   let path = Filename.temp_file ("tfapprox_" ^ tag) ".sock" in
   Sys.remove path;
   path
-
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.
-  else sorted.(min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1))
-
-(* Sustained load + exact client-side latency quantiles: [threads]
-   concurrent clients, each issuing [per_thread] single-image requests
-   back to back, every response checked bit-identical against a local
-   one-shot [Emulator.predictions ~domains:1] of the same tensor. *)
-let serve_throughput ~server ~address ~graph ~threads ~per_thread =
-  let latencies = Array.make (threads * per_thread) 0. in
-  let mismatches = Atomic.make 0 in
-  let failures = Atomic.make 0 in
-  (* Reference predictions are computed serially, BEFORE any load
-     starts: the emulator is not reentrant across systhreads (scratch
-     arenas are per-domain, and all these threads share the daemon's
-     domain), so a worker computing its own [expected] would race the
-     scheduler thread.  Real clients are separate processes and never
-     hit this; the bench shares a process only for convenience. *)
-  let inputs =
-    Array.init threads (fun i ->
-        let data = (Cifar.generate ~seed:(1000 + i) ~n:1 ()).Cifar.images in
-        let expected =
-          Tfapprox.Emulator.predictions ~verify:false ~domains:1 graph
-            ~backend:Tfapprox.Emulator.Cpu_gemm data
-        in
-        (data, expected))
-  in
-  let worker i () =
-    let data, expected = inputs.(i) in
-    let c = Sclient.connect address in
-    for j = 0 to per_thread - 1 do
-      let t0 = Unix.gettimeofday () in
-      (match Sclient.infer c ~id:((i * per_thread) + j) ~model:"resnet8" data with
-      | Ok classes -> if classes <> expected then Atomic.incr mismatches
-      | Error _ -> Atomic.incr failures);
-      latencies.((i * per_thread) + j) <- Unix.gettimeofday () -. t0
-    done;
-    Sclient.close c
-  in
-  let t0 = Unix.gettimeofday () in
-  let ts = List.init threads (fun i -> Thread.create (worker i) ()) in
-  List.iter Thread.join ts;
-  let wall = Unix.gettimeofday () -. t0 in
-  Array.sort compare latencies;
-  let n = threads * per_thread in
-  Format.printf
-    "%d clients x %d requests: %.1f req/s sustained (%.2f s wall)@." threads
-    per_thread
-    (float_of_int n /. wall)
-    wall;
-  Format.printf "request latency: p50 %.1f ms  p99 %.1f ms  max %.1f ms@."
-    (1000. *. percentile latencies 0.50)
-    (1000. *. percentile latencies 0.99)
-    (1000. *. latencies.(n - 1));
-  let st = Admission.stats (Server.admission server) in
-  Format.printf
-    "admission: %d submitted, %d batches (%.2f jobs/batch), max depth %d@."
-    st.Admission.submitted st.Admission.batches
-    (if st.Admission.batches = 0 then 0.
-     else float_of_int st.Admission.batched_jobs /. float_of_int st.Admission.batches)
-    st.Admission.max_depth;
-  (Atomic.get mismatches, Atomic.get failures)
 
 (* Overload + corrupt artefacts + a garbage-spraying client, all at
    once, against a deliberately tiny queue.  The daemon must survive
@@ -1292,47 +1011,7 @@ let serve_torture () =
   Format.printf "torture: ok — zero daemon crashes@."
 
 let run_serve () =
-  section "Serve: inference daemon under concurrent load (+ torture)";
-  let address = Server.Unix_sock (temp_socket "serve") in
-  let store = Store.load ~domains:1 [ Store.parse_spec "resnet8=resnet8+mul8u_trunc8" ] in
-  let graph =
-    match Store.find store "resnet8" with
-    | Some { Store.status = Store.Ready r; _ } -> r.Store.graph
-    | _ -> assert false
-  in
-  let metrics = Ax_obs.Metrics.create () in
-  let server =
-    Server.start
-      {
-        (Server.default_config ~store ~address ()) with
-        Server.queue_capacity = 64;
-        max_batch = 8;
-        linger = 0.001;
-        metrics;
-      }
-  in
-  let mismatches, failures =
-    serve_throughput ~server ~address ~graph ~threads:4
-      ~per_thread:(max 2 (images_measured / 2))
-  in
-  (* the server-side histogram view of the same traffic *)
-  let snap = Ax_obs.Metrics.snapshot metrics in
-  (match Ax_obs.Metrics.find_histogram snap "serve_request_seconds" with
-  | Some h ->
-    Format.printf
-      "server-side serve_request_seconds: n=%d p50=%.1f ms p99=%.1f ms@."
-      h.Ax_obs.Metrics.count
-      (1000. *. h.Ax_obs.Metrics.p50)
-      (1000. *. h.Ax_obs.Metrics.p99)
-  | None -> ());
-  Server.stop server;
-  if mismatches > 0 || failures > 0 then begin
-    Format.eprintf "serve bench FAILED: %d mismatches, %d failed requests@."
-      mismatches failures;
-    exit 1
-  end;
-  Format.printf "all responses bit-identical to one-shot Emulator runs@.@.";
-  Format.printf "-- torture: overload + corrupt LUTs + garbage client --@.";
+  section "Serve: torture (overload + corrupt LUTs + garbage client)";
   serve_torture ()
 
 (* ------------------------------------------------------------------ *)
@@ -1367,59 +1046,6 @@ let run_device_sweep () =
     [ Device.gtx_1080; Device.jetson_class; Device.datacenter_class ]
 
 (* ------------------------------------------------------------------ *)
-(* Explore: certified design-space search throughput                   *)
-(* ------------------------------------------------------------------ *)
-
-(* One tiny seeded search, timed end-to-end.  The unit is candidate
-   evaluations per second: each evaluation is the full admission
-   pipeline (strip-dead, 2^16 tabulation, BDD certification, accuracy
-   through the emulator, energy/power analysis), so this is the number
-   that bounds how large a design-space sweep the machine can afford.
-   Recorded under bench kind "explore" so the history gate compares it
-   only against other explore runs. *)
-let run_explore () =
-  section "Explore: certified candidate evaluation throughput";
-  let module Search = Ax_explore.Search in
-  let config =
-    {
-      Search.default_config with
-      Search.seed = 7;
-      generations = 1;
-      population = 3;
-      images = 2;
-      model = Search.Lenet;
-    }
-  in
-  let result = Search.run config in
-  let evals = result.Search.evaluated in
-  let secs = result.Search.wall_seconds in
-  let evals_per_sec = float_of_int evals /. secs in
-  Format.printf
-    "seed %d: %d evaluation(s) (%d rejected, %d cached) in %.2f s — %.2f \
-     candidate evals/s, front size %d@."
-    config.Search.seed evals result.Search.rejected result.Search.cache_hits
-    secs evals_per_sec
-    (List.length result.Search.front);
-  let history_path =
-    Option.value ~default:"BENCH_history.jsonl"
-      (Sys.getenv_opt "TFAPPROX_BENCH_HISTORY")
-  in
-  Tfapprox.Perf.append_history history_path
-    {
-      Tfapprox.Perf.label = Tfapprox.Perf.utc_label ();
-      bench = "explore";
-      images = config.Search.images;
-      throughput =
-        [
-          { Tfapprox.Perf.domains = 1; seconds = secs;
-            images_per_sec = evals_per_sec };
-        ];
-      ns_per_mac = None;
-    };
-  Format.printf "appended to %s (bench kind explore, evals/s as throughput)@."
-    history_path
-
-(* ------------------------------------------------------------------ *)
 
 let all_sections =
   [
@@ -1434,12 +1060,8 @@ let all_sections =
     ("round-modes", run_round_modes);
     ("per-layer", run_per_layer);
     ("device-sweep", run_device_sweep);
-    ("pool", run_pool);
     ("serve", run_serve);
     ("gemm", run_gemm);
-    ("explore", run_explore);
-    ("history", run_history);
-    ("trace", run_trace);
     ("resilience", run_resilience);
   ]
 

@@ -840,94 +840,6 @@ let resilience_cmd =
       $ target $ bits $ sites $ trials $ rates $ images $ bit $ seed
       $ domains_term $ csv_term $ json_file $ quiet_term)
 
-let perf_cmd =
-  let module Perf = Tfapprox.Perf in
-  let run history_file current_file threshold json_out quiet =
-    apply_quiet quiet;
-    guarded @@ fun () ->
-    let threshold =
-      match threshold with
-      | Some t when t > 0. -> t
-      | Some _ -> failwith "--threshold: expected a positive fraction"
-      | None -> Perf.threshold_from_env ()
-    in
-    let history = Perf.load_history history_file in
-    if not (Sys.file_exists current_file) then
-      raise
-        (Sys_error
-           (Printf.sprintf "%s not found — run `dune exec bench -- gemm` first"
-              current_file));
-    let current = Perf.of_file current_file in
-    let verdicts = Perf.gate ~threshold ~history ~current in
-    (match json_out with
-    | Some path ->
-      let text =
-        Ax_obs.Json.to_string (Perf.report_to_json ~threshold verdicts)
-      in
-      if path = "-" then print_endline text
-      else begin
-        write_file path text;
-        Log.info (Printf.sprintf "wrote %s" path)
-      end
-    | None ->
-      if history <> [] then begin
-        Format.printf "benchmark history (%s):@." history_file;
-        Format.printf "%a@." Perf.pp_history history
-      end;
-      if verdicts = [] then
-        Format.printf
-          "no history baseline yet — current run accepted as-is@."
-      else begin
-        Format.printf "regression gate (threshold %.0f%%):@."
-          (100. *. threshold);
-        Format.printf "%a@." Perf.pp_verdicts verdicts
-      end);
-    if Perf.regressed verdicts then exit 1
-  in
-  let history_file =
-    let default =
-      Option.value ~default:"BENCH_history.jsonl"
-        (Sys.getenv_opt "TFAPPROX_BENCH_HISTORY")
-    in
-    Arg.(
-      value & opt string default
-      & info [ "history" ] ~docv:"FILE"
-          ~doc:
-            "JSON-lines benchmark history to gate against (defaults to \
-             $(b,TFAPPROX_BENCH_HISTORY) or BENCH_history.jsonl).")
-  in
-  let current_file =
-    Arg.(
-      value & opt string "BENCH_gemm.json"
-      & info [ "current" ] ~docv:"FILE"
-          ~doc:"Current benchmark snapshot to judge.")
-  in
-  let threshold =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "threshold" ] ~docv:"FRAC"
-          ~doc:
-            "Allowed regression fraction (e.g. 0.35); defaults to \
-             $(b,TFAPPROX_PERF_THRESHOLD) or the built-in default.")
-  in
-  let json_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Write the verdicts as JSON to $(docv) (\"-\" for stdout).")
-  in
-  Cmd.v
-    (Cmd.info "perf"
-       ~doc:
-         "Compare the current benchmark snapshot against the recorded \
-          trajectory; exits 1 when throughput or ns/MAC regressed past \
-          the threshold")
-    Term.(
-      const run $ history_file $ current_file $ threshold $ json_out
-      $ quiet_term)
-
 let serve_cmd =
   let run listen models backend domains queue_capacity max_batch linger_ms
       retry_after_ms max_connections idle_timeout trace_file metrics_file
@@ -1396,6 +1308,5 @@ let () =
           [
             table1_cmd; fig2_cmd; sweep_cmd; multipliers_cmd; verilog_cmd;
             lut_cmd; search_cmd; explore_cmd; model_cmd; analyze_cmd;
-            trace_cmd; check_cmd; resilience_cmd; perf_cmd; serve_cmd;
-            client_cmd;
+            trace_cmd; check_cmd; resilience_cmd; serve_cmd; client_cmd;
           ]))
