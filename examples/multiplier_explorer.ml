@@ -59,7 +59,7 @@ let () =
         let r = Power.analyze circuit in
         let savings =
           Ax_gpusim.Energy.savings_percent
-            (Ax_gpusim.Energy.mac_of_circuit circuit)
+            (Ax_gpusim.Energy.mac_of_report r)
         in
         Format.printf "%-18s %9.2f %7d %7.1f%% | %8.0f %7.1f %8.2f %8.1f%%@."
           e.Registry.name m.Metrics.mae m.Metrics.wce

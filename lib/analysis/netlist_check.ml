@@ -66,22 +66,6 @@ let check_circuit c =
 
 (* --- LUT certification --- *)
 
-(* Compile one bit-column of the truth table into a BDD, bottom-up.
-   Variable [v] is the circuit's v-th primary input (Bdd.of_circuit
-   orders variables by input creation index), which for the generators
-   is a_v for v < 8 and b_(v-8) otherwise; an assignment therefore
-   denotes the operand pair (ca, cb) with ca in the low 8 index bits:
-   leaf index = (cb << 8) | ca, while the LUT stitches (ca << 8) | cb. *)
-let table_bit_bdd m bit_of_leaf =
-  let ite v t e =
-    Bdd.or_ m (Bdd.and_ m v t) (Bdd.and_ m (Bdd.not_ m v) e)
-  in
-  let rec build lo p =
-    if p < 0 then if bit_of_leaf lo then Bdd.one else Bdd.zero
-    else ite (Bdd.var m p) (build (lo + (1 lsl p)) (p - 1)) (build lo (p - 1))
-  in
-  build 0 15
-
 let interface_findings (m : Multipliers.t) =
   let c = m.Multipliers.circuit in
   let problems = ref [] in
@@ -123,7 +107,11 @@ let certify_lut ~lut (m : Multipliers.t) =
     let out_nodes =
       List.map (fun (label, s) -> (label, Circuit.index s)) (Circuit.outputs c)
     in
-    (* Precompute the raw entries once; 16 column scans share them. *)
+    (* Variable [v] is the circuit's v-th primary input, which for the
+       generators is a_v for v < 8 and b_(v-8) otherwise; a table index
+       therefore denotes the operand pair (ca, cb) with ca in its low 8
+       bits: leaf = (cb << 8) | ca, while the LUT stitches (ca << 8) | cb.
+       The raw entries are read once; the 16 column builds share them. *)
     let raw =
       Array.init Lut.entries (fun leaf ->
           Lut.get_raw lut (Lut.raw_index (leaf land 0xff) (leaf lsr 8)))
@@ -140,7 +128,7 @@ let certify_lut ~lut (m : Multipliers.t) =
           :: !diags
       | Some circuit_bdd ->
         let table_bdd =
-          table_bit_bdd mgr (fun leaf -> (raw.(leaf) lsr bit) land 1 = 1)
+          Bdd.of_table mgr ~vars:16 (fun leaf -> (raw.(leaf) lsr bit) land 1 = 1)
         in
         if circuit_bdd <> table_bdd then begin
           let diff = Bdd.xor_ mgr circuit_bdd table_bdd in

@@ -128,12 +128,11 @@ let evaluate ~base_graph ~dataset job =
   match certify_candidate job.j_mult ~lut:job.j_lut with
   | Error rule -> (Rejected { name = job.j_name; reason = rule }, None)
   | Ok () -> (
-    let circuit = job.j_mult.Multipliers.circuit in
-    match Energy.relative_mac_energy (Energy.mac_of_circuit circuit) with
+    let report = Power.analyze job.j_mult.Multipliers.circuit in
+    match Energy.relative_mac_energy (Energy.mac_of_report report) with
     | exception Invalid_argument msg ->
       (Rejected { name = job.j_name; reason = msg }, None)
     | energy ->
-      let report = Power.analyze circuit in
       let accuracy, err =
         match job.j_cached with
         | Some cached -> cached

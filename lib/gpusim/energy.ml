@@ -18,16 +18,16 @@ let accumulator_share =
      Ax_netlist.Circuit.output c "cout" carry;
      4. *. (Power.analyze c).Power.power)
 
-let mac_of_circuit circuit =
+let mac_of_report report =
   {
-    multiplier_energy = (Power.analyze circuit).Power.power;
+    multiplier_energy = report.Power.power;
     accumulator_energy = Lazy.force accumulator_share;
   }
 
 let exact_mac =
   lazy
-    (mac_of_circuit
-       (Multipliers.unsigned_array ~bits:8).Multipliers.circuit)
+    (mac_of_report
+       (Power.analyze (Multipliers.unsigned_array ~bits:8).Multipliers.circuit))
 
 let total p = p.multiplier_energy +. p.accumulator_energy
 

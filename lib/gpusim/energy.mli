@@ -20,9 +20,11 @@ val exact_mac : mac_profile Lazy.t
 (** The reference MAC: exact carry-save array multiplier + exact 32-bit
     ripple accumulator slice. *)
 
-val mac_of_circuit : Ax_netlist.Circuit.t -> mac_profile
-(** A MAC built around the given multiplier circuit (accumulator share
-    taken from the exact reference). *)
+val mac_of_report : Ax_netlist.Power.report -> mac_profile
+(** A MAC built around the multiplier circuit that [report] describes
+    (accumulator share taken from the exact reference).  Taking the
+    report, not the circuit, lets a caller that also ranks by area or
+    delay pay for one {!Ax_netlist.Power.analyze} sweep, not two. *)
 
 val total : mac_profile -> float
 (** [multiplier_energy + accumulator_energy]. *)

@@ -1,5 +1,23 @@
 type node = int
 
+(* The unique table and the apply cache key on one int packing three
+   fields: two node ids of [node_bits] each under a variable index or an
+   operation id, 62 bits in all (63-bit OCaml ints).  An id that outgrows
+   its field raises instead of letting two keys alias. *)
+let node_bits = 26
+let max_nodes = 1 lsl node_bits
+let max_vars = 1 lsl (62 - (2 * node_bits))
+let pack tag a b = (((tag lsl node_bits) lor a) lsl node_bits) lor b
+
+(* [Hashtbl.hash] mixes every bit of the key; a plain multiplicative
+   hash leaves the bucket index to the low field alone. *)
+module Tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
 (* Nodes 0 and 1 are the terminals; every other node is a triple
    (variable, low child, high child) stored in growable arrays. *)
 type manager = {
@@ -7,8 +25,8 @@ type manager = {
   mutable low : int array;
   mutable high : int array;
   mutable len : int;
-  unique : (int * int * int, node) Hashtbl.t;
-  apply_cache : (int * node * node, node) Hashtbl.t;
+  unique : node Tbl.t;
+  apply_cache : node Tbl.t;
   count_cache : (node, float) Hashtbl.t;
 }
 
@@ -23,8 +41,8 @@ let manager () =
       low = Array.make cap 0;
       high = Array.make cap 0;
       len = 2;
-      unique = Hashtbl.create 4096;
-      apply_cache = Hashtbl.create 4096;
+      unique = Tbl.create 4096;
+      apply_cache = Tbl.create 4096;
       count_cache = Hashtbl.create 256;
     }
   in
@@ -47,25 +65,31 @@ let grow m =
     m.high <- bigger_high
   end
 
+(* Callers pass [v] below [max_vars] and children already in [m]. *)
 let mk m v lo hi =
   if lo = hi then lo
   else begin
-    let key = (v, lo, hi) in
-    match Hashtbl.find_opt m.unique key with
-    | Some n -> n
-    | None ->
-      grow m;
+    let key = pack v lo hi in
+    match Tbl.find m.unique key with
+    | n -> n
+    | exception Not_found ->
       let n = m.len in
+      if n = max_nodes then
+        invalid_arg
+          (Printf.sprintf "Bdd: a manager holds at most %d nodes" max_nodes);
+      grow m;
       m.var_of.(n) <- v;
       m.low.(n) <- lo;
       m.high.(n) <- hi;
-      m.len <- m.len + 1;
-      Hashtbl.add m.unique key n;
+      m.len <- n + 1;
+      Tbl.add m.unique key n;
       n
   end
 
 let var m i =
-  if i < 0 then invalid_arg "Bdd.var: negative index";
+  if i < 0 || i >= max_vars then
+    invalid_arg
+      (Printf.sprintf "Bdd.var: index %d outside [0, %d)" i max_vars);
   mk m i zero one
 
 let node_count m = m.len
@@ -94,8 +118,8 @@ let rec apply m op a b =
   | None ->
     (* Normalise commutative argument order for the cache. *)
     let a, b = if a <= b then (a, b) else (b, a) in
-    let key = (op, a, b) in
-    (match Hashtbl.find_opt m.apply_cache key with
+    let key = pack op a b in
+    (match Tbl.find_opt m.apply_cache key with
     | Some r -> r
     | None ->
       let va = m.var_of.(a) and vb = m.var_of.(b) in
@@ -105,7 +129,7 @@ let rec apply m op a b =
       let lo = apply m op a_lo b_lo in
       let hi = apply m op a_hi b_hi in
       let r = mk m v lo hi in
-      Hashtbl.add m.apply_cache key r;
+      Tbl.add m.apply_cache key r;
       r)
 
 let and_ m a b = apply m 0 a b
@@ -114,6 +138,21 @@ let xor_ m a b = apply m 2 a b
 
 (* NOT via XOR with the constant-1 function keeps a single cache. *)
 let not_ m a = xor_ m a one
+
+(* Shannon expansion bottom-up over one array of 2^vars sub-BDDs: after
+   level [v], [a.(i)] is the function of the variables [v..vars-1] with
+   the lower bits of the index fixed at [i]. *)
+let of_table m ~vars f =
+  if vars < 0 || vars >= Sys.int_size - 1 || 1 lsl vars > Sys.max_array_length
+  then invalid_arg "Bdd.of_table: 2^vars entries do not fit an array";
+  let a = Array.init (1 lsl vars) (fun i -> if f i then one else zero) in
+  for v = vars - 1 downto 0 do
+    let half = 1 lsl v in
+    for i = 0 to half - 1 do
+      a.(i) <- mk m v a.(i) a.(i + half)
+    done
+  done;
+  a.(0)
 
 let of_circuit m c =
   let values = Array.make (Circuit.node_count c) zero in

@@ -8,7 +8,9 @@
 
     The manager owns the unique-node table and the operation caches;
     nodes are plain integers, so BDDs from different managers must not
-    be mixed (checked where cheap, undefined otherwise). *)
+    be mixed (checked where cheap, undefined otherwise).  A manager
+    holds at most 2{^26} nodes over {!max_vars} variables; growing past
+    either raises [Invalid_argument]. *)
 
 type manager
 type node = int
@@ -18,8 +20,12 @@ val manager : unit -> manager
 val zero : node
 val one : node
 
+val max_vars : int
+(** [1024]: variables are indexed [0 .. max_vars - 1]. *)
+
 val var : manager -> int -> node
-(** [var m i] is the function of primary-input variable [i]. *)
+(** [var m i] is the function of primary-input variable [i].  Raises
+    [Invalid_argument] outside [0, max_vars). *)
 
 val not_ : manager -> node -> node
 val and_ : manager -> node -> node -> node
@@ -29,8 +35,17 @@ val xor_ : manager -> node -> node -> node
 val node_count : manager -> int
 (** Live unique nodes (diagnostic). *)
 
+val of_table : manager -> vars:int -> (int -> bool) -> node
+(** [of_table m ~vars f] is the canonical BDD of the truth table [f]
+    over [2^vars] indices, where variable [v] is bit [v] of the index
+    (variable 0 nearest the root).  Built bottom-up by Shannon
+    expansion, one node lookup per table pair and no apply, so it is
+    the same node as any other construction of that function in [m].
+    Raises [Invalid_argument] when [2^vars] entries do not fit an array. *)
+
 val of_circuit : manager -> Circuit.t -> (string * node) list
-(** One BDD per primary output, labelled. *)
+(** One BDD per primary output, labelled; variable [i] is the [i]-th
+    primary input in creation order. *)
 
 val equivalent : Circuit.t -> Circuit.t -> bool
 (** [equivalent a b] — same number of primary inputs (matched by

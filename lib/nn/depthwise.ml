@@ -131,54 +131,62 @@ let approx_conv ?profile ~config ~input ~input_range ~filter ~filter_range
   let beta1f = float_of_int beta1 in
   let zero_code = beta1 land 0xff in
   let buf = Tensor.buffer input and out_buf = Tensor.buffer out in
-  let window = Bytes.create taps in
   let out_c_total = in_c * mult in
+  (* One output row's quantized windows, [ow][c][tap], and their Sp:
+     each phase is charged once per row, so a profiled run measures the
+     kernel rather than its clock reads. *)
+  let windows = Bytes.create (out_w * in_c * taps) in
+  let sps = Array.make (out_w * in_c) 0 in
   let lookups = ref 0 in
-  let row = ref 0 in
   for n = 0 to Shape.(s.n) - 1 do
     for oh = 0 to out_h - 1 do
-      for ow = 0 to out_w - 1 do
-        let base_h = (oh * spec.Conv_spec.stride) - pad_top in
-        let base_w = (ow * spec.Conv_spec.stride) - pad_left in
-        let out_base = !row * out_c_total in
-        for c = 0 to in_c - 1 do
-          (* Quantize this channel's window once (Sp for the position). *)
-          let sp =
-            charge Profile.Quantization (fun () ->
-                let acc = ref 0 and col = ref 0 in
-                for dh = 0 to kh - 1 do
-                  let h = base_h + (dh * spec.Conv_spec.dilation) in
-                  for dw = 0 to kw - 1 do
-                    let w = base_w + (dw * spec.Conv_spec.dilation) in
-                    if h >= 0 && h < Shape.(s.h) && w >= 0 && w < Shape.(s.w)
-                    then begin
-                      let q =
-                        S.clamp signedness
-                          (Round.apply config.Axconv.round_mode
-                             ((buf.{Shape.unsafe_offset s ~n ~h ~w ~c}
-                               *. inv_alpha1)
-                             +. beta1f))
-                      in
-                      acc := !acc + q;
-                      Bytes.unsafe_set window !col
-                        (Char.unsafe_chr (q land 0xff))
-                    end
-                    else begin
-                      acc := !acc + beta1;
-                      Bytes.unsafe_set window !col (Char.unsafe_chr zero_code)
-                    end;
-                    incr col
-                  done
-                done;
-                !acc)
-          in
-          charge Profile.Lut (fun () ->
+      let base_h = (oh * spec.Conv_spec.stride) - pad_top in
+      charge Profile.Quantization (fun () ->
+          for ow = 0 to out_w - 1 do
+            let base_w = (ow * spec.Conv_spec.stride) - pad_left in
+            for c = 0 to in_c - 1 do
+              let cell = (ow * in_c) + c in
+              let acc = ref 0 and col = ref (cell * taps) in
+              for dh = 0 to kh - 1 do
+                let h = base_h + (dh * spec.Conv_spec.dilation) in
+                for dw = 0 to kw - 1 do
+                  let w = base_w + (dw * spec.Conv_spec.dilation) in
+                  if h >= 0 && h < Shape.(s.h) && w >= 0 && w < Shape.(s.w)
+                  then begin
+                    let q =
+                      S.clamp signedness
+                        (Round.apply config.Axconv.round_mode
+                           ((buf.{Shape.unsafe_offset s ~n ~h ~w ~c}
+                             *. inv_alpha1)
+                           +. beta1f))
+                    in
+                    acc := !acc + q;
+                    Bytes.unsafe_set windows !col (Char.unsafe_chr (q land 0xff))
+                  end
+                  else begin
+                    acc := !acc + beta1;
+                    Bytes.unsafe_set windows !col (Char.unsafe_chr zero_code)
+                  end;
+                  incr col
+                done
+              done;
+              sps.(cell) <- !acc
+            done
+          done);
+      let row_base = ((n * out_h) + oh) * out_w in
+      charge Profile.Lut (fun () ->
+          for ow = 0 to out_w - 1 do
+            let out_base = (row_base + ow) * out_c_total in
+            for c = 0 to in_c - 1 do
+              let cell = (ow * in_c) + c in
+              let window_base = cell * taps in
+              let sp = sps.(cell) in
               for j = 0 to mult - 1 do
                 let slot = (c * mult) + j in
                 let qf_base = slot * taps in
                 let acc = ref 0 in
                 for p = 0 to taps - 1 do
-                  let ca = Char.code (Bytes.unsafe_get window p) in
+                  let ca = Char.code (Bytes.unsafe_get windows (window_base + p)) in
                   let cb = Char.code (Bytes.unsafe_get qf (qf_base + p)) in
                   acc :=
                     Accumulator.add config.Axconv.accumulator !acc
@@ -189,13 +197,11 @@ let approx_conv ?profile ~config ~input ~input_range ~filter ~filter_range
                   !acc - (beta2 * sp) - (beta1 * sf.(slot)) + n_beta12
                 in
                 let v = alpha12 *. float_of_int corrected in
-                let k = slot in
-                let v = match bias with Some b -> v +. b.(k) | None -> v in
-                out_buf.{out_base + k} <- v
-              done)
-        done;
-        incr row
-      done
+                let v = match bias with Some b -> v +. b.(slot) | None -> v in
+                out_buf.{out_base + slot} <- v
+              done
+            done
+          done)
     done
   done;
   (match profile with

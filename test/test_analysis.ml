@@ -350,6 +350,46 @@ let test_lut_mismatch_golden () =
   assert_has_rule "refuted" "net/lut-mismatch" ds;
   Alcotest.(check bool) "error severity" true (D.has_errors ds)
 
+(* (product-bit label, disagreeing operand pairs) of each finding. *)
+let mismatch_counts ds =
+  List.map
+    (fun d ->
+      Alcotest.(check string) "rule" "net/lut-mismatch" d.D.rule;
+      let label =
+        match d.D.location with
+        | D.Netlist_signal { label; _ } -> label
+        | _ -> Alcotest.fail "mismatch not located on a product bit"
+      in
+      Scanf.sscanf d.D.message "product bit %d differs from the LUT on %d of 65536"
+        (fun bit count ->
+          Alcotest.(check string) "label names the bit" (Printf.sprintf "p_%d" bit) label;
+          (label, count)))
+    ds
+
+let test_lut_mismatch_counts_pinned () =
+  (* The certificate's exact refutation of mul8u_nl_trunc8 against the
+     exact table: one finding per product bit, each with its pinned
+     count of disagreeing operand pairs. *)
+  let m = Option.get (Registry.find_exn "mul8u_nl_trunc8").Registry.netlist () in
+  let exact = Lut.make ~signedness:S.Unsigned Ax_arith.Exact.mul8u in
+  let expected =
+    [ 16384; 24576; 28672; 30720; 31744; 32256; 32512; 32640; 31672; 32658;
+      20927; 10450; 4828; 2201; 840; 230 ]
+  in
+  Alcotest.(check (list (pair string int))) "per-bit mismatch counts"
+    (List.mapi (fun bit n -> (Printf.sprintf "p_%d" bit, n)) expected)
+    (mismatch_counts (Netlist_check.certify_lut ~lut:exact m))
+
+let test_one_flipped_entry_refuted () =
+  (* One bit of one entry is the smallest lie a LUT can tell; the
+     certificate must locate it on its product bit and count it once. *)
+  let m = Option.get (Registry.find_exn "mul8u_nl_exact").Registry.netlist () in
+  let lut = Lut.make ~signedness:S.Unsigned Ax_arith.Exact.mul8u in
+  let i = Lut.raw_index 173 58 in
+  Lut.set_raw lut i (Lut.get_raw lut i lxor (1 lsl 9));
+  Alcotest.(check (list (pair string int))) "one finding on p_9" [ ("p_9", 1) ]
+    (mismatch_counts (Netlist_check.certify_lut ~lut m))
+
 (* --- registry sweeps: everything shipped analyzes clean ------------- *)
 
 let test_registry_models_clean () =
@@ -452,6 +492,10 @@ let () =
           Alcotest.test_case "width mismatch" `Quick test_width_mismatch;
           Alcotest.test_case "LUT mismatch refuted" `Quick
             test_lut_mismatch_golden;
+          Alcotest.test_case "LUT mismatch counts pinned" `Quick
+            test_lut_mismatch_counts_pinned;
+          Alcotest.test_case "one flipped LUT bit refuted" `Quick
+            test_one_flipped_entry_refuted;
         ] );
       ( "registry sweeps",
         [

@@ -59,6 +59,56 @@ let test_bdd_satisfy_count () =
   check_float "probability" 0.25
     (Bdd.probability_one m ~vars:3 (Bdd.and_ m x y))
 
+let test_bdd_var_bounds () =
+  (* Variable indices share a packed key with two node ids; one past the
+     field must be refused, not alias a smaller variable. *)
+  let m = Bdd.manager () in
+  let top = Bdd.var m (Bdd.max_vars - 1) in
+  check_bool "last variable is a fresh node" true (top <> Bdd.var m 0);
+  List.iter
+    (fun i ->
+      match Bdd.var m i with
+      | _ -> Alcotest.failf "Bdd.var %d: expected Invalid_argument" i
+      | exception Invalid_argument _ -> ())
+    [ Bdd.max_vars; Bdd.max_vars + 1; -1 ]
+
+(* --- of_table against a Shannon reference --- *)
+
+(* Top-down Shannon expansion through the public apply operations: an
+   oracle for [Bdd.of_table] that reaches the same function by another
+   route.  Variable [p] is bit [p] of the table index. *)
+let shannon_reference m ~vars f =
+  let ite v t e = Bdd.or_ m (Bdd.and_ m v t) (Bdd.and_ m (Bdd.not_ m v) e) in
+  let rec build index p =
+    if p < 0 then if f index then Bdd.one else Bdd.zero
+    else
+      ite (Bdd.var m p) (build (index + (1 lsl p)) (p - 1)) (build index (p - 1))
+  in
+  build 0 (vars - 1)
+
+(* Tables over 1-10 variables at a random density, so constant, sparse
+   and dense functions all occur. *)
+let arb_table =
+  let open QCheck.Gen in
+  let gen =
+    pair (int_range 1 10) (float_bound_inclusive 1.) >>= fun (vars, density) ->
+    array_size (return (1 lsl vars)) (map (fun x -> x < density) (float_bound_inclusive 1.))
+    >|= fun table -> (vars, table)
+  in
+  QCheck.make gen ~print:(fun (vars, table) ->
+      Printf.sprintf "%d vars: %s" vars
+        (String.init (Array.length table) (fun i -> if table.(i) then '1' else '0')))
+
+let prop_of_table_is_canonical =
+  QCheck.Test.make ~name:"of_table canonical, counts popcount"
+    ~count:200 arb_table (fun (vars, table) ->
+      let m = Bdd.manager () in
+      let direct = Bdd.of_table m ~vars (Array.get table) in
+      let reference = shannon_reference m ~vars (Array.get table) in
+      let popcount = Array.fold_left (fun n b -> if b then n + 1 else n) 0 table in
+      direct = reference
+      && Bdd.satisfy_count m ~vars direct = float_of_int popcount)
+
 let test_bdd_probability_matches_exhaustive () =
   (* Exact signal probability of a full adder's carry: 4/8. *)
   let c = Circuit.create () in
@@ -307,6 +357,8 @@ let () =
             test_bdd_probability_matches_exhaustive;
           Alcotest.test_case "independence approximation error" `Quick
             test_bdd_exposes_independence_approximation_error;
+          Alcotest.test_case "variable index bounds" `Quick test_bdd_var_bounds;
+          QCheck_alcotest.to_alcotest prop_of_table_is_canonical;
         ] );
       ( "equivalence",
         [

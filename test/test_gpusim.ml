@@ -6,6 +6,7 @@ module Texcache = Ax_gpusim.Texcache
 module Cost = Ax_gpusim.Cost
 module Energy = Ax_gpusim.Energy
 module Multipliers = Ax_netlist.Multipliers
+module Power = Ax_netlist.Power
 module Netlist_circuit = Ax_netlist.Circuit
 module Shape = Ax_tensor.Shape
 module Rng = Ax_tensor.Rng
@@ -252,16 +253,16 @@ let test_smaller_device_is_slower () =
 
 let test_energy_relative_sane () =
   let exact =
-    Energy.mac_of_circuit
-      (Multipliers.unsigned_array ~bits:8).Multipliers.circuit
+    Energy.mac_of_report
+      (Power.analyze (Multipliers.unsigned_array ~bits:8).Multipliers.circuit)
   in
   check_bool "exact MAC is the unit" true
     (abs_float (Energy.relative_mac_energy exact -. 1.0) < 1e-9);
   check_float "total is the component sum" 3.0
     (Energy.total { Energy.multiplier_energy = 1.0; accumulator_energy = 2.0 });
   let trunc =
-    Energy.mac_of_circuit
-      (Multipliers.truncated ~bits:8 ~cut:8).Multipliers.circuit
+    Energy.mac_of_report
+      (Power.analyze (Multipliers.truncated ~bits:8 ~cut:8).Multipliers.circuit)
   in
   let r = Energy.relative_mac_energy trunc in
   check_bool "truncation saves energy" true (r > 0. && r < 1.);
@@ -285,7 +286,7 @@ let test_energy_degenerate_multiplier_ok () =
   for i = 0 to 15 do
     Netlist_circuit.output c (Printf.sprintf "p%d" i) zero
   done;
-  let r = Energy.relative_mac_energy (Energy.mac_of_circuit c) in
+  let r = Energy.relative_mac_energy (Energy.mac_of_report (Power.analyze c)) in
   check_bool "finite, positive, below the exact MAC" true
     (Float.is_finite r && r > 0. && r < 1.)
 

@@ -26,7 +26,10 @@ let test_full_pipeline () =
   (* 2. pick a multiplier, check its hardware story *)
   let multiplier = "mul8u_trunc8" in
   let netlist = Ax_netlist.Multipliers.truncated ~bits:8 ~cut:8 in
-  let mac = Energy.mac_of_circuit netlist.Ax_netlist.Multipliers.circuit in
+  let mac =
+    Energy.mac_of_report
+      (Ax_netlist.Power.analyze netlist.Ax_netlist.Multipliers.circuit)
+  in
   let savings = Energy.savings_percent mac in
   check_bool
     (Printf.sprintf "truncation saves energy (%.1f%%)" savings)
@@ -94,9 +97,10 @@ let test_energy_ordering () =
   (* Deeper truncation => more energy saved, monotonically. *)
   let saving cut =
     Energy.savings_percent
-      (Energy.mac_of_circuit
-         (Ax_netlist.Multipliers.truncated ~bits:8 ~cut)
-           .Ax_netlist.Multipliers.circuit)
+      (Energy.mac_of_report
+         (Ax_netlist.Power.analyze
+            (Ax_netlist.Multipliers.truncated ~bits:8 ~cut)
+              .Ax_netlist.Multipliers.circuit))
   in
   let s0 = saving 0 and s6 = saving 6 and s10 = saving 10 in
   check_bool
