@@ -4,7 +4,6 @@
      dune exec bench/main.exe              # everything (a few minutes)
      dune exec bench/main.exe -- table1    # Table I only
      dune exec bench/main.exe -- fig2      # Fig. 2 only
-     dune exec bench/main.exe -- micro     # Bechamel kernel micro-benches
      dune exec bench/main.exe -- lut-independence
      dune exec bench/main.exe -- cache-ablation
      dune exec bench/main.exe -- chunk-ablation
@@ -23,9 +22,6 @@
    End-to-end throughput, latency and the per-layer ledger are measured
    by bench/e2e, whose compare.exe is the repo's performance gate. *)
 
-open Bechamel
-open Toolkit
-
 module Shape = Ax_tensor.Shape
 module Tensor = Ax_tensor.Tensor
 module Rng = Ax_tensor.Rng
@@ -33,7 +29,6 @@ module Filter = Ax_nn.Filter
 module Conv_spec = Ax_nn.Conv_spec
 module Axconv = Ax_nn.Axconv
 module Registry = Ax_arith.Registry
-module Lut = Ax_arith.Lut
 module Device = Ax_gpusim.Device
 module Cost = Ax_gpusim.Cost
 module Resnet = Ax_models.Resnet
@@ -88,9 +83,23 @@ let run_fig2 () =
     "paper, ResNet-62: CPU 0.8/64/7/28%%, GPU 10/20/26/43%% (init/quant/LUT/rest)@."
 
 (* ------------------------------------------------------------------ *)
-(* Micro-benchmarks (Bechamel)                                         *)
+(* Timing helpers                                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* Best wall-clock time of [n] runs of [f]: the minimum is the run least
+   disturbed by the rest of the host. *)
+let best_of n f =
+  let best = ref infinity in
+  for _ = 1 to n do
+    let t0 = Unix.gettimeofday () in
+    f ();
+    let dt = Unix.gettimeofday () -. t0 in
+    if dt < !best then best := dt
+  done;
+  !best
+
+(* One small conv (16x16x8 -> 16, 3x3 Same): the micro row of [-- gemm]
+   and the E5 workload. *)
 let conv_inputs () =
   let input = Tensor.create (Shape.make ~n:1 ~h:16 ~w:16 ~c:8) in
   Tensor.fill_uniform ~lo:(-1.) ~hi:1. (Rng.create 3) input;
@@ -101,102 +110,7 @@ let conv_inputs () =
   let filter_range = Ax_quant.Range.make ~min:fmin ~max:fmax in
   (input, filter, input_range, filter_range)
 
-let axconv_test ~name multiplier strategy =
-  let input, filter, input_range, filter_range = conv_inputs () in
-  let config =
-    Axconv.make_config (Registry.lut (Registry.find_exn multiplier))
-  in
-  let conv ~config ~input ~input_range ~filter ~filter_range ~spec () =
-    match strategy with
-    | `Gemm ->
-      Axconv.conv ~config ~input ~input_range ~filter ~filter_range ~spec ()
-    | `Direct ->
-      Ax_nn.Conv_direct.conv ~config ~input ~input_range ~filter ~filter_range
-        ~spec ()
-  in
-  Test.make ~name
-    (Staged.stage (fun () ->
-         ignore
-           (conv ~config ~input ~input_range ~filter ~filter_range
-              ~spec:Conv_spec.default ())))
-
-let micro_tests () =
-  let lut = Registry.lut (Registry.find_exn "mul8u_trunc8") in
-  let rng = Rng.create 9 in
-  let codes = Array.init 4096 (fun _ -> (Rng.int rng 256, Rng.int rng 256)) in
-  let lut_lookup =
-    Test.make ~name:"lut-lookup-4096"
-      (Staged.stage (fun () ->
-           let acc = ref 0 in
-           Array.iter
-             (fun (a, b) -> acc := !acc + Lut.lookup_code lut a b)
-             codes;
-           ignore !acc))
-  in
-  let float_mac =
-    let xs = Array.init 4096 (fun i -> float_of_int i *. 0.01) in
-    Test.make ~name:"float-mac-4096"
-      (Staged.stage (fun () ->
-           let acc = ref 0. in
-           Array.iter (fun x -> acc := !acc +. (x *. 1.0001)) xs;
-           ignore !acc))
-  in
-  let input, filter, _, _ = conv_inputs () in
-  let conv_float =
-    Test.make ~name:"conv-float-gemm"
-      (Staged.stage (fun () ->
-           ignore
-             (Ax_nn.Conv_float.gemm ~input ~filter ~spec:Conv_spec.default ())))
-  in
-  let im2col =
-    let plan =
-      Ax_nn.Im2col.make (Tensor.shape input) ~kh:3 ~kw:3
-        ~spec:Conv_spec.default
-    in
-    let coeffs =
-      Ax_quant.Quantization.compute_coeffs Ax_arith.Signedness.Unsigned
-        ~rmin:(-1.) ~rmax:1.
-    in
-    Test.make ~name:"im2col-codes"
-      (Staged.stage (fun () ->
-           ignore
-             (Ax_nn.Im2col.to_codes plan input ~coeffs
-                ~round_mode:Ax_quant.Round.Nearest_even
-                ~signedness:Ax_arith.Signedness.Unsigned)))
-  in
-  [
-    lut_lookup; float_mac; conv_float; im2col;
-    axconv_test ~name:"axconv-gemm" "mul8u_trunc8" `Gemm;
-    axconv_test ~name:"axconv-direct" "mul8u_trunc8" `Direct;
-  ]
-
-let run_bechamel ~name tests =
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-  let raw =
-    Benchmark.all cfg
-      Instance.[ monotonic_clock ]
-      (Test.make_grouped ~name ~fmt:"%s/%s" tests)
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun k v acc -> (k, v) :: acc) results [] in
-  List.iter
-    (fun (key, ols) ->
-      match Analyze.OLS.estimates ols with
-      | Some [ ns ] ->
-        if ns > 1e6 then
-          Format.printf "  %-34s %10.3f ms/run@." key (ns /. 1e6)
-        else if ns > 1e3 then
-          Format.printf "  %-34s %10.3f us/run@." key (ns /. 1e3)
-        else Format.printf "  %-34s %10.1f ns/run@." key ns
-      | Some _ | None -> Format.printf "  %-34s (no estimate)@." key)
-    (List.sort compare rows)
-
-let run_micro () =
-  section "Kernel micro-benchmarks (Bechamel, monotonic clock)";
-  run_bechamel ~name:"micro" (micro_tests ())
+let micro_macs = 16 * 16 * 16 * 72
 
 (* ------------------------------------------------------------------ *)
 (* E5: LUT-content independence                                        *)
@@ -205,12 +119,22 @@ let run_micro () =
 let run_lut_independence () =
   section
     "E5: \"The content of the LUT does not have any impact on the execution time\"";
-  let tests =
-    List.map
-      (fun m -> axconv_test ~name:("axconv-" ^ m) m `Gemm)
-      [ "mul8u_exact"; "mul8u_trunc8"; "mul8u_mitchell"; "mul8u_kulkarni" ]
-  in
-  run_bechamel ~name:"lut-independence" tests;
+  let input, filter, input_range, filter_range = conv_inputs () in
+  Format.printf "%-24s %12s %10s   (best of 200 runs)@." "multiplier"
+    "us/conv" "ns/MAC";
+  List.iter
+    (fun m ->
+      let config = Axconv.make_config (Registry.lut (Registry.find_exn m)) in
+      let conv () =
+        ignore
+          (Axconv.conv ~config ~input ~input_range ~filter ~filter_range
+             ~spec:Conv_spec.default ())
+      in
+      conv ();
+      let best = best_of 200 conv in
+      Format.printf "%-24s %12.1f %10.2f@." m (1e6 *. best)
+        (best *. 1e9 /. float_of_int micro_macs))
+    [ "mul8u_exact"; "mul8u_trunc8"; "mul8u_mitchell"; "mul8u_kulkarni" ];
   Format.printf
     "@.identical within noise = the claim holds: time depends on geometry,@.";
   Format.printf "not on which truth table the texture memory holds.@."
@@ -495,17 +419,10 @@ let run_gemm () =
       ~spec:Conv_spec.default ()
   in
   ignore (conv ());
-  let micro_best = ref infinity in
-  for _ = 1 to 5 do
-    let t0 = Unix.gettimeofday () in
-    ignore (conv ());
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !micro_best then micro_best := dt
-  done;
-  let micro_macs = 16 * 16 * 16 * 72 in
-  let ns_per_mac = !micro_best *. 1e9 /. float_of_int micro_macs in
+  let micro_best = best_of 5 (fun () -> ignore (conv ())) in
+  let ns_per_mac = micro_best *. 1e9 /. float_of_int micro_macs in
   Format.printf "@.micro: %.3f ms/conv, %.2f ns/MAC (%d LUT MACs)@."
-    (1000. *. !micro_best) ns_per_mac micro_macs;
+    (1000. *. micro_best) ns_per_mac micro_macs;
   (* Domains-scaling gate: with chunk-level dynamic claiming the d4 run
      must not be slower than d1.  On single-core hosts (CI containers,
      this dev box) there is nothing to scale over, so the gate degrades
@@ -566,16 +483,6 @@ let run_gemm () =
      a busy CI host; a real per-event cost shows up in every attempt. *)
   let approx_plain =
     Tfapprox.Emulator.approximate_model ~multiplier:"mul8u_trunc8" graph
-  in
-  let best_of n f =
-    let best = ref infinity in
-    for _ = 1 to n do
-      let t0 = Unix.gettimeofday () in
-      f ();
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best
   in
   let run_disabled () =
     ignore
@@ -697,7 +604,7 @@ let run_gemm () =
               Obj
                 [
                   ("macs", Int micro_macs);
-                  ("seconds", Float !micro_best);
+                  ("seconds", Float micro_best);
                   ("ns_per_mac", Float ns_per_mac);
                 ] );
             ( "alloc_gate",
@@ -1051,7 +958,6 @@ let all_sections =
   [
     ("table1", run_table1);
     ("fig2", run_fig2);
-    ("micro", run_micro);
     ("lut-independence", run_lut_independence);
     ("cache-ablation", run_cache_ablation);
     ("chunk-ablation", run_chunk_ablation);

@@ -25,7 +25,11 @@ let value_of_code s c =
   | Unsigned -> c
   | Signed -> if c >= 128 then c - 256 else c
 
-let clamp s v = max (min_value s) (min (max_value s) v)
+(* Int comparisons, not [Stdlib.min]/[max]: without flambda those are
+   calls to the generic compare, and this runs on every quantized tap. *)
+let clamp s v =
+  let lo = min_value s and hi = max_value s in
+  if v < lo then lo else if v > hi then hi else v
 
 let max_abs_product = function
   | Unsigned -> 255 * 255

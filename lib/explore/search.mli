@@ -1,12 +1,12 @@
 (** Certified evolutionary design-space exploration of 8x8 multipliers.
 
-    The loop the emulator was built to close (ROADMAP item 3): seed a
-    population from the structural generators, mutate netlist genomes
-    ({!Genome}), sweep each mutant with {!Ax_netlist.Opt.strip_dead},
-    tabulate its 2{^16}-entry LUT with the bit-parallel simulator,
-    BDD-certify the netlist against that LUT
-    ({!Ax_analysis.Netlist_check} — an uncertifiable candidate is
-    rejected and never scored), then score the survivors on two axes:
+    The loop the emulator was built to close, from netlist to network
+    accuracy and energy: seed a population from the structural
+    generators, mutate netlist genomes ({!Genome}), sweep each mutant
+    with {!Ax_netlist.Opt.strip_dead}, tabulate its 2{^16}-entry LUT
+    with the bit-parallel simulator, BDD-certify the netlist against
+    that LUT ({!Ax_analysis.Netlist_check} — an uncertifiable candidate
+    is rejected and never scored), then score the survivors on two axes:
     end-to-end top-1 accuracy through the existing emulator (candidates
     fanned out over {!Ax_pool.Pool}) and relative MAC energy from
     {!Ax_gpusim.Energy}, keeping a Pareto archive ({!Pareto}).

@@ -30,6 +30,18 @@ let run_all ?profile ?(strategy = Cpu_gemm) ?scratch ?tap g ~input =
     | Some p -> Profile.span p ~name ~attrs f
     | None -> f ()
   in
+  (* The approximate conv [strategy] picks: AxConv2D nodes run it once,
+     AxDepthwiseConv2D nodes once per input channel. *)
+  let ax_conv ~config ~input ~input_range ~filter ~filter_range ?bias ~spec
+      () =
+    match strategy with
+    | Cpu_gemm ->
+      Axconv.conv ?profile ?scratch ~config ~input ~input_range ~filter
+        ~filter_range ?bias ~spec ()
+    | Cpu_direct ->
+      Conv_direct.conv ?profile ~config ~input ~input_range ~filter
+        ~filter_range ?bias ~spec ()
+  in
   span "exec.run_all"
     [
       ("nodes", string_of_int (Graph.size g));
@@ -62,19 +74,9 @@ let run_all ?profile ?(strategy = Cpu_gemm) ?scratch ?tap g ~input =
           let filter_range =
             Range.make ~min:(scalar_of f_min) ~max:(scalar_of f_max)
           in
-          let conv ?profile ~config ~input ~input_range ~filter ~filter_range
-              ?bias ~spec () =
-            match strategy with
-            | Cpu_gemm ->
-              Axconv.conv ?profile ?scratch ~config ~input ~input_range
-                ~filter ~filter_range ?bias ~spec ()
-            | Cpu_direct ->
-              Conv_direct.conv ?profile ~config ~input ~input_range ~filter
-                ~filter_range ?bias ~spec ()
-          in
           Tensor
-            (conv ?profile ~config ~input:(tensor_of data) ~input_range
-               ~filter ~filter_range ?bias ~spec ())
+            (ax_conv ~config ~input:(tensor_of data) ~input_range ~filter
+               ~filter_range ?bias ~spec ())
         | Graph.Depthwise_conv2d { filter; bias; spec }, [ v ] ->
           charge Profile.Other (fun () ->
               Tensor
@@ -89,8 +91,9 @@ let run_all ?profile ?(strategy = Cpu_gemm) ?scratch ?tap g ~input =
             Range.make ~min:(scalar_of f_min) ~max:(scalar_of f_max)
           in
           Tensor
-            (Depthwise.approx_conv ?profile ~config ~input:(tensor_of data)
-               ~input_range ~filter ~filter_range ?bias ~spec ())
+            (Depthwise.approx_conv ?profile ~conv:ax_conv ~config
+               ~input:(tensor_of data) ~input_range ~filter ~filter_range
+               ?bias ~spec ())
         | Graph.Relu, [ v ] ->
           charge Profile.Other (fun () -> Tensor (Layers.relu (tensor_of v)))
         | Graph.Max_pool { size; stride }, [ v ] ->

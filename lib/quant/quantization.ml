@@ -38,17 +38,4 @@ let quantize c mode signedness r =
 
 let dequantize c q = c.alpha *. float_of_int (q - c.beta)
 
-let quantize_tensor_codes c mode signedness tensor =
-  let n = Ax_tensor.Tensor.num_elements tensor in
-  let out = Bytes.create n in
-  let buf = Ax_tensor.Tensor.buffer tensor in
-  let inv_alpha = 1. /. c.alpha in
-  let betaf = float_of_int c.beta in
-  for i = 0 to n - 1 do
-    let q = Round.apply mode ((buf.{i} *. inv_alpha) +. betaf) in
-    let q = S.clamp signedness q in
-    Bytes.unsafe_set out i (Char.unsafe_chr (q land 0xff))
-  done;
-  out
-
 let roundtrip_error_bound c = c.alpha /. 2.

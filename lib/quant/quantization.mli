@@ -29,12 +29,6 @@ val quantize : coeffs -> Round.t -> Ax_arith.Signedness.t -> float -> int
 val dequantize : coeffs -> int -> float
 (** [dequantize c q = alpha * (q - beta)]. *)
 
-val quantize_tensor_codes :
-  coeffs -> Round.t -> Ax_arith.Signedness.t -> Ax_tensor.Tensor.t -> Bytes.t
-(** Quantize a whole tensor into raw 8-bit LUT codes (the [Mp]/filter
-    tile representation of Algorithm 1); [Bytes.get_uint8] recovers each
-    code. *)
-
 val roundtrip_error_bound : coeffs -> float
 (** Worst dequantization error for an in-range value under nearest
     rounding: [alpha / 2]. *)

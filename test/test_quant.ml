@@ -160,29 +160,6 @@ let test_degenerate_range_quantizes_to_zero () =
   let q = Q.quantize c Round.Nearest_even S.Signed 0. in
   check_float "all-zero tensor stays zero" 0. (Q.dequantize c q)
 
-(* --- tensor quantization --- *)
-
-let test_quantize_tensor_codes_matches_scalar () =
-  let shape = Shape.make ~n:2 ~h:3 ~w:3 ~c:2 in
-  let t = Tensor.create shape in
-  Tensor.fill_uniform ~lo:(-1.5) ~hi:2.5 (Rng.create 123) t;
-  let range = Range.of_tensor t in
-  List.iter
-    (fun s ->
-      let c = Q.compute_coeffs s ~rmin:range.Range.min ~rmax:range.Range.max in
-      let codes = Q.quantize_tensor_codes c Round.Nearest_even s t in
-      check_int "one code per element" (Tensor.num_elements t)
-        (Bytes.length codes);
-      Tensor.iteri_flat
-        (fun i v ->
-          let want =
-            S.code_of_value s (Q.quantize c Round.Nearest_even s v)
-          in
-          check_int "code agrees with scalar path" want
-            (Bytes.get_uint8 codes i))
-        t)
-    [ S.Signed; S.Unsigned ]
-
 (* --- range --- *)
 
 let test_range_of_tensor_and_union () =
@@ -289,8 +266,6 @@ let () =
           Alcotest.test_case "monotone" `Quick test_quantize_monotone;
           Alcotest.test_case "degenerate range" `Quick
             test_degenerate_range_quantizes_to_zero;
-          Alcotest.test_case "tensor codes match scalar" `Quick
-            test_quantize_tensor_codes_matches_scalar;
         ] );
       ( "range",
         [
