@@ -1,22 +1,25 @@
 (* CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), table-driven.
-   The value fits in 32 bits and is kept in a plain OCaml int. *)
+   The value fits in 32 bits and is kept in a plain OCaml int.  The
+   table is built when the module loads, not lazily: pool workers
+   checksum LUTs concurrently, and a lazy value must not be forced from
+   two domains at once. *)
 
 let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 let of_bytes buf ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length buf then
     invalid_arg "Checksum.of_bytes: range out of bounds";
-  let t = Lazy.force table in
   let crc = ref 0xFFFFFFFF in
   for i = pos to pos + len - 1 do
-    crc := t.((!crc lxor Char.code (Bytes.get buf i)) land 0xff) lxor (!crc lsr 8)
+    crc :=
+      table.((!crc lxor Char.code (Bytes.get buf i)) land 0xff)
+      lxor (!crc lsr 8)
   done;
   !crc lxor 0xFFFFFFFF
 

@@ -1,12 +1,7 @@
-let leading_one_position x =
-  (* Position of the most significant set bit; -1 for zero. *)
-  let rec go pos = if pos < 0 then -1 else if (x lsr pos) land 1 = 1 then pos else go (pos - 1) in
-  go 62
-
 let approximate_operand ~k x =
   if k < 2 then invalid_arg "Drum.approximate_operand: k must be >= 2";
   if x < 0 then invalid_arg "Drum.approximate_operand: negative operand";
-  let l = leading_one_position x in
+  let l = Mitchell.leading_one_position x in
   if l < k then x
   else begin
     let shift = l - k + 1 in

@@ -107,7 +107,7 @@ let of_bytes_result buf ~pos =
   let mlen = String.length magic in
   if pos < 0 || available < mlen then
     Error
-      (Load_error.Truncated { what; needed = serialized_bytes; available = max available 0 })
+      (Load_error.Truncated { what; needed = serialized_bytes; available = Int.max available 0 })
   else if Bytes.sub_string buf pos mlen <> magic then
     Error
       (Load_error.Bad_magic

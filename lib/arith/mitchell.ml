@@ -1,17 +1,20 @@
 let fraction_bits = 16
 let fraction_mask = (1 lsl fraction_bits) - 1
 
-let leading_one_position x =
-  let rec go pos =
-    if pos < 0 then -1 else if (x lsr pos) land 1 = 1 then pos else go (pos - 1)
-  in
-  go 62
+(* Binary search for the top set bit: halving widths 32, 16, ..., 1
+   cover all 63 bits in six steps. *)
+let rec top_bit x pos width =
+  if width = 0 then pos
+  else if x lsr width <> 0 then top_bit (x lsr width) (pos + width) (width / 2)
+  else top_bit x pos (width / 2)
+
+let leading_one_position x = if x = 0 then -1 else top_bit x 0 32
 
 let log2_fixed x =
   if x <= 0 then invalid_arg "Mitchell.log2_fixed: non-positive argument";
   let l = leading_one_position x in
   let mantissa = x - (1 lsl l) in
-  (l lsl fraction_bits) + ((mantissa lsl fraction_bits) / (1 lsl l))
+  (l lsl fraction_bits) + ((mantissa lsl fraction_bits) lsr l)
 
 let multiply a b =
   if a < 0 || b < 0 then invalid_arg "Mitchell.multiply: negative operand";

@@ -13,3 +13,7 @@ val log2_fixed : int -> int
     base-2 logarithm of a positive integer (exposed for tests). *)
 
 val fraction_bits : int
+
+val leading_one_position : int -> int
+(** Position of the most significant set bit, [-1] for [0] (the integer
+    part of {!log2_fixed}; shared with {!Drum}). *)

@@ -15,16 +15,8 @@ let truncation_mask ~cut =
       let i = idx / bits and j = idx mod bits in
       i + j >= cut)
 
-let multiply_of_mask mask a b =
-  let acc = ref 0 in
-  for i = 0 to bits - 1 do
-    if (a lsr i) land 1 = 1 then
-      for j = 0 to bits - 1 do
-        if (b lsr j) land 1 = 1 && mask.((i * bits) + j) then
-          acc := !acc + (1 lsl (i + j))
-      done
-  done;
-  !acc
+let multiply_of_mask mask =
+  Truncation.pruned ~bits ~keep:(fun i j -> mask.((i * bits) + j))
 
 (* Each kept partial product costs roughly one AND gate plus its share
    of the compression tree (~a full adder): ~ 6 + 28/2 transistors. *)

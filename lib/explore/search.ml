@@ -60,17 +60,24 @@ type result = {
   wall_seconds : float;
 }
 
-let tabulate (m : Multipliers.t) =
+(* One exhaustive sweep gives the candidate's LUT and, from the same
+   pass, the per-node signal probabilities its power report needs. *)
+let sweep (m : Multipliers.t) =
   if
     m.Multipliers.width_a <> 8 || m.Multipliers.width_b <> 8
     || m.Multipliers.product_bits <> 16 || m.Multipliers.signed
   then
     invalid_arg
       "Search.tabulate: candidate is not an unsigned 8x8 -> 16-bit multiplier";
-  let tt =
-    Sim.truth_table_2x m.Multipliers.circuit ~width_a:8 ~width_b:8
+  let s = Sim.exhaustive m.Multipliers.circuit in
+  let table = s.Sim.table in
+  let lut =
+    Lut.make ~signedness:Signedness.Unsigned (fun a b ->
+        table.((b lsl 8) lor a))
   in
-  Lut.make ~signedness:Signedness.Unsigned tt
+  (lut, Power.probabilities_of_sweep s)
+
+let tabulate m = fst (sweep m)
 
 let certify_candidate m ~lut =
   let findings = Netlist_check.check_multiplier ~lut m in
@@ -116,6 +123,7 @@ type job = {
   j_mult : Multipliers.t;
   j_lut : Lut.t;
   j_lut_digest : string;
+  j_probabilities : float array;
   j_cached : (float * Error_metrics.t) option;
 }
 
@@ -128,7 +136,10 @@ let evaluate ~base_graph ~dataset job =
   match certify_candidate job.j_mult ~lut:job.j_lut with
   | Error rule -> (Rejected { name = job.j_name; reason = rule }, None)
   | Ok () -> (
-    let report = Power.analyze job.j_mult.Multipliers.circuit in
+    let report =
+      Power.analyze ~probabilities:job.j_probabilities
+        job.j_mult.Multipliers.circuit
+    in
     match Energy.relative_mac_energy (Energy.mac_of_report report) with
     | exception Invalid_argument msg ->
       (Rejected { name = job.j_name; reason = msg }, None)
@@ -194,7 +205,10 @@ let run ?pool config =
   let t0 = Unix.gettimeofday () in
   let pool = match pool with Some p -> p | None -> Pool.default () in
   (* Force the process-wide lazies before fanning out: OCaml lazy
-     values must not be forced concurrently from several domains. *)
+     values must not be forced concurrently from several domains, so
+     nothing [sweep_job] or [evaluate] reaches may hold an unforced
+     shared lazy ([Checksum]'s CRC table, which [Lut.to_bytes] reads on
+     the workers, is built eagerly for this reason). *)
   ignore (Energy.relative_mac_energy (Lazy.force Energy.exact_mac));
   let base_graph, dataset =
     match config.model with
@@ -220,31 +234,45 @@ let run ?pool config =
   let eval_batch ~generation candidates =
     let jobs = ref [] in
     let planned = ref 0 in
-    List.iter
-      (fun (name, genome) ->
-        if !evaluated + !planned < budget then begin
-          let m = Genome.to_multiplier ~name genome in
-          let lut = tabulate m in
-          let lut_digest = Digest.to_hex (Digest.bytes (Lut.to_bytes lut)) in
-          let key = lut_digest ^ "|" ^ circuit_dump m.Multipliers.circuit in
-          if Hashtbl.mem seen key then incr cache_hits
-          else begin
-            Hashtbl.replace seen key ();
-            incr planned;
-            jobs :=
-              {
-                j_name = name;
-                j_generation = generation;
-                j_genome = genome;
-                j_mult = m;
-                j_lut = lut;
-                j_lut_digest = lut_digest;
-                j_cached = Hashtbl.find_opt accuracy_memo lut_digest;
-              }
-              :: !jobs
-          end
-        end)
-      candidates;
+    (* Candidates are built and swept on the pool, in candidate order,
+       and deduplicated here.  A chunk is as long as the budget's room,
+       so every candidate in it is looked at, as one at a time would be;
+       duplicates leave room over for the next chunk. *)
+    let sweep_job (name, genome) =
+      let m = Genome.to_multiplier ~name genome in
+      let lut, probabilities = sweep m in
+      let lut_digest = Digest.to_hex (Digest.bytes (Lut.to_bytes lut)) in
+      ( lut_digest ^ "|" ^ circuit_dump m.Multipliers.circuit,
+        {
+          j_name = name;
+          j_generation = generation;
+          j_genome = genome;
+          j_mult = m;
+          j_lut = lut;
+          j_lut_digest = lut_digest;
+          j_probabilities = probabilities;
+          j_cached = None;
+        } )
+    in
+    let rec chunks candidates =
+      let room = budget - !evaluated - !planned in
+      if room > 0 && not (List.is_empty candidates) then begin
+        Pool.map_array pool ?max_domains:config.max_domains
+          ~schedule:(Pool.Dynamic { grain = 1 })
+          sweep_job
+          (Array.of_list (List.filteri (fun i _ -> i < room) candidates))
+        |> Array.iter (fun (key, job) ->
+               if Hashtbl.mem seen key then incr cache_hits
+               else begin
+                 Hashtbl.replace seen key ();
+                 incr planned;
+                 let cached = Hashtbl.find_opt accuracy_memo job.j_lut_digest in
+                 jobs := { job with j_cached = cached } :: !jobs
+               end);
+        chunks (List.filteri (fun i _ -> i >= room) candidates)
+      end
+    in
+    chunks candidates;
     let jobs = Array.of_list (List.rev !jobs) in
     let outcomes =
       Pool.map_array pool ?max_domains:config.max_domains

@@ -4,9 +4,12 @@
     accuracy and energy: seed a population from the structural
     generators, mutate netlist genomes ({!Genome}), sweep each mutant
     with {!Ax_netlist.Opt.strip_dead}, tabulate its 2{^16}-entry LUT
-    with the bit-parallel simulator, BDD-certify the netlist against
-    that LUT ({!Ax_analysis.Netlist_check} — an uncertifiable candidate
-    is rejected and never scored), then score the survivors on two axes:
+    and its per-node signal probabilities with one
+    {!Ax_netlist.Sim.exhaustive} sweep (candidates fanned out over
+    {!Ax_pool.Pool}, deduplicated on the coordinator), BDD-certify the
+    netlist against that LUT ({!Ax_analysis.Netlist_check} — an
+    uncertifiable candidate is rejected and never scored), then score
+    the survivors on two axes:
     end-to-end top-1 accuracy through the existing emulator (candidates
     fanned out over {!Ax_pool.Pool}) and relative MAC energy from
     {!Ax_gpusim.Energy}, keeping a Pareto archive ({!Pareto}).
@@ -14,7 +17,8 @@
     {b Determinism contract.}  A run is a pure function of its
     {!config}: mutation randomness comes from a seeded {!Srng} stream
     on the coordinator, candidates are deduplicated and ordered there,
-    and the pool fan-out uses [map_array] (index-ordered results), so
+    and both pool fan-outs (sweeps, then certification and scoring) use
+    [map_array] (index-ordered results), so
     {!front_json_string} and {!front_csv_string} are byte-identical
     across repeated runs, pool sizes and [TFAPPROX_DOMAINS] settings.
     [wall_seconds] is the one nondeterministic field and is deliberately
@@ -61,9 +65,10 @@ type result = {
 }
 
 val tabulate : Ax_netlist.Multipliers.t -> Ax_arith.Lut.t
-(** Exhaustive bit-parallel tabulation of an (8x8, unsigned) candidate
-    into the emulator's LUT format.  Raises [Invalid_argument] on other
-    interface shapes. *)
+(** Exhaustive tabulation of an (8x8, unsigned) candidate into the
+    emulator's LUT format, read from one {!Ax_netlist.Sim.exhaustive}
+    sweep (the search takes the same sweep's one-counts for the power
+    report).  Raises [Invalid_argument] on other interface shapes. *)
 
 val certify_candidate :
   Ax_netlist.Multipliers.t -> lut:Ax_arith.Lut.t -> (unit, string) Stdlib.result

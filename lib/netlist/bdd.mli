@@ -6,8 +6,19 @@
     simulator that produced it.  Variables are ordered by primary-input
     creation index.
 
-    The manager owns the unique-node table and the operation caches;
-    nodes are plain integers, so BDDs from different managers must not
+    The manager holds everything in flat int arrays, CUDD-style: three
+    node arrays (variable, low child, high child), an open-addressed
+    unique table that is at most half full and holds every node exactly
+    once (so equal functions are equal node ids), and a direct-mapped
+    computed table for [apply] with a quarter of the unique table's
+    slots.  The computed table is lossy: a colliding entry overwrites the
+    older one, which costs a recomputation and never changes a result,
+    since canonicity comes from the unique table alone.  All tables start
+    at 1024 nodes and double with the node count, so a manager's memory
+    follows the BDD it builds; [apply] allocates nothing on the minor
+    heap.
+
+    Nodes are plain integers, so BDDs from different managers must not
     be mixed (checked where cheap, undefined otherwise).  A manager
     holds at most 2{^26} nodes over {!max_vars} variables; growing past
     either raises [Invalid_argument]. *)
@@ -38,10 +49,11 @@ val node_count : manager -> int
 val of_table : manager -> vars:int -> (int -> bool) -> node
 (** [of_table m ~vars f] is the canonical BDD of the truth table [f]
     over [2^vars] indices, where variable [v] is bit [v] of the index
-    (variable 0 nearest the root).  Built bottom-up by Shannon
-    expansion, one node lookup per table pair and no apply, so it is
-    the same node as any other construction of that function in [m].
-    Raises [Invalid_argument] when [2^vars] entries do not fit an array. *)
+    (variable 0 nearest the root).  [f] is called once per index, in
+    increasing order.  Built bottom-up by Shannon expansion, one node
+    lookup per table pair and no apply, so it is the same node as any
+    other construction of that function in [m].  Raises
+    [Invalid_argument] when [2^vars] entries do not fit an array. *)
 
 val of_circuit : manager -> Circuit.t -> (string * node) list
 (** One BDD per primary output, labelled; variable [i] is the [i]-th

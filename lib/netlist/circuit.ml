@@ -63,7 +63,7 @@ let not_ c a =
   | _ -> intern c (Gate.Not a)
 
 (* Normalise commutative fan-in order so that hashing catches (a,b)/(b,a). *)
-let ordered a b = if a <= b then (a, b) else (b, a)
+let ordered (a : signal) b = if a <= b then (a, b) else (b, a)
 
 let and_ c a b =
   let a, b = ordered a b in
@@ -137,7 +137,7 @@ let levelize c =
   let levels = Array.make c.len 0 in
   iter_gates c (fun i g ->
       let deepest =
-        List.fold_left (fun acc j -> max acc levels.(j)) (-1) (Gate.fanin g)
+        List.fold_left (fun acc j -> Int.max acc levels.(j)) (-1) (Gate.fanin g)
       in
       levels.(i) <- (if deepest < 0 then 0 else deepest + 1));
   levels

@@ -47,21 +47,6 @@ let eval g look =
   | Nor2 (a, b) -> not (look a || look b)
   | Xnor2 (a, b) -> look a = look b
 
-let eval_word g look =
-  let open Int64 in
-  match g with
-  | Input s -> invalid_arg ("Gate.eval_word: unresolved input " ^ s)
-  | Const true -> minus_one
-  | Const false -> zero
-  | Buf a -> look a
-  | Not a -> lognot (look a)
-  | And2 (a, b) -> logand (look a) (look b)
-  | Or2 (a, b) -> logor (look a) (look b)
-  | Xor2 (a, b) -> logxor (look a) (look b)
-  | Nand2 (a, b) -> lognot (logand (look a) (look b))
-  | Nor2 (a, b) -> lognot (logor (look a) (look b))
-  | Xnor2 (a, b) -> lognot (logxor (look a) (look b))
-
 let pp ppf g =
   match g with
   | Input s -> Format.fprintf ppf "input(%s)" s

@@ -31,8 +31,4 @@ val eval : t -> (int -> bool) -> bool
     resolving fan-in indices to values.  [Input] nodes cannot be
     evaluated this way and raise [Invalid_argument]. *)
 
-val eval_word : t -> (int -> int64) -> int64
-(** Bit-parallel variant of {!eval}: each of the 64 lanes of the word
-    carries an independent evaluation. *)
-
 val pp : Format.formatter -> t -> unit

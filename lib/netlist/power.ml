@@ -44,48 +44,11 @@ let signal_probabilities c =
           1. -. ((pa *. (1. -. pb)) +. (pb *. (1. -. pa)))));
   p
 
-let popcount64 x =
-  let open Int64 in
-  let x = sub x (logand (shift_right_logical x 1) 0x5555555555555555L) in
-  let x =
-    add
-      (logand x 0x3333333333333333L)
-      (logand (shift_right_logical x 2) 0x3333333333333333L)
-  in
-  let x = logand (add x (shift_right_logical x 4)) 0x0F0F0F0F0F0F0F0FL in
-  to_int (shift_right_logical (mul x 0x0101010101010101L) 56)
+let exact_inputs_limit = Sim.exhaustive_inputs_limit
 
-(* Per-node one-counts over a sequence of bit-parallel sweeps.  Each
-   sweep binds every primary input to a 64-lane word produced by
-   [word_for ~sweep ~input_ordinal]; [lanes_of sweep] masks out unused
-   lanes of a partial final sweep.  Shared by the exhaustive and the
-   Monte-Carlo probability estimators. *)
-let count_ones_by_simulation c ~sweeps ~word_for ~lanes_of =
-  let n = Circuit.node_count c in
-  let counts = Array.make n 0 in
-  let values = Array.make n 0L in
-  let total_lanes = ref 0 in
-  for sweep = 0 to sweeps - 1 do
-    let next_input = ref 0 in
-    Circuit.iter_gates c (fun i g ->
-        match g with
-        | Gate.Input _ ->
-          values.(i) <- word_for ~sweep ~input_ordinal:!next_input;
-          incr next_input
-        | g -> values.(i) <- Gate.eval_word g (fun j -> values.(j)));
-    let lanes = lanes_of sweep in
-    let mask =
-      if lanes >= 64 then -1L
-      else Int64.sub (Int64.shift_left 1L lanes) 1L
-    in
-    total_lanes := !total_lanes + Int.min lanes 64;
-    for i = 0 to n - 1 do
-      counts.(i) <- counts.(i) + popcount64 (Int64.logand values.(i) mask)
-    done
-  done;
-  (counts, !total_lanes)
-
-let exact_inputs_limit = 20
+let probabilities_of_sweep (s : Sim.sweep) =
+  let total = float_of_int s.Sim.patterns in
+  Array.map (fun ones -> float_of_int ones /. total) s.Sim.ones
 
 let exact_signal_probabilities c =
   let bits = Circuit.input_count c in
@@ -95,22 +58,7 @@ let exact_signal_probabilities c =
          "Power.exact_signal_probabilities: %d inputs exceed the %d-input \
           exhaustive-sweep limit"
          bits exact_inputs_limit);
-  let patterns = 1 lsl bits in
-  let sweeps = (patterns + 63) / 64 in
-  (* Lane k of sweep s carries input pattern s*64 + k (input bit [o] of
-     the pattern is its o-th binary digit, as in [Sim.truth_table_2x]). *)
-  let word_for ~sweep ~input_ordinal =
-    let w = ref 0L in
-    for lane = 0 to 63 do
-      let p = (sweep * 64) + lane in
-      if p < patterns && (p lsr input_ordinal) land 1 = 1 then
-        w := Int64.logor !w (Int64.shift_left 1L lane)
-    done;
-    !w
-  in
-  let lanes_of sweep = Int.min 64 (patterns - (sweep * 64)) in
-  let counts, total = count_ones_by_simulation c ~sweeps ~word_for ~lanes_of in
-  Array.map (fun ones -> float_of_int ones /. float_of_int total) counts
+  probabilities_of_sweep (Sim.exhaustive ~table:false c)
 
 let monte_carlo_signal_probabilities ~seed ~samples c =
   if samples <= 0 then
@@ -136,11 +84,16 @@ let monte_carlo_signal_probabilities ~seed ~samples c =
   in
   let sweeps = (samples + 63) / 64 in
   let bits = Circuit.input_count c in
-  let table = Array.init (sweeps * Int.max 1 bits) (fun _ -> next ()) in
-  let word_for ~sweep ~input_ordinal = table.((sweep * bits) + input_ordinal) in
-  let lanes_of _ = 64 in
-  let counts, total = count_ones_by_simulation c ~sweeps ~word_for ~lanes_of in
-  Array.map (fun ones -> float_of_int ones /. float_of_int total) counts
+  (* Cell (s, o)'s 64 lanes feed sweep words 2s (low half) and 2s + 1
+     (high half) of input o, so every lane keeps its draw. *)
+  let halves = Array.make (2 * sweeps * bits) 0 in
+  for cell = 0 to (sweeps * bits) - 1 do
+    let z = next () in
+    halves.(2 * cell) <- Int64.to_int (Int64.logand z 0xFFFFFFFFL);
+    halves.((2 * cell) + 1) <- Int64.to_int (Int64.shift_right_logical z 32)
+  done;
+  let input_word w o = halves.((2 * (((w / 2) * bits) + o)) + (w land 1)) in
+  probabilities_of_sweep (Sim.sampled c ~words:(2 * sweeps) input_word)
 
 let analyze ?probabilities c =
   let probabilities =

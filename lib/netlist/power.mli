@@ -29,22 +29,30 @@ val signal_probabilities : Circuit.t -> float array
 
 val exact_inputs_limit : int
 (** [20] — the widest circuit {!exact_signal_probabilities} accepts
-    (2{^20} patterns, 16 384 bit-parallel sweeps). *)
+    (2{^20} patterns, {!Sim.exhaustive_inputs_limit}). *)
+
+val probabilities_of_sweep : Sim.sweep -> float array
+(** Per-node probability of logic 1 over a sweep's patterns:
+    [ones.(i) / patterns].  What {!exact_signal_probabilities} returns for
+    {!Sim.exhaustive}, and what a caller that already holds a sweep (the
+    explore search tabulating a candidate) passes to {!analyze}. *)
 
 val exact_signal_probabilities : Circuit.t -> float array
-(** Exact per-node signal probabilities by exhaustive bit-parallel
-    simulation of all [2^inputs] patterns.  No independence
-    approximation; this is what {!analyze} uses for circuits of at most
-    {!exact_inputs_limit} inputs.  Raises [Invalid_argument] on wider
-    circuits. *)
+(** Exact per-node signal probabilities from one table-less
+    {!Sim.exhaustive} sweep over all [2^inputs] patterns, for any number
+    of outputs.  No independence approximation; this is what {!analyze}
+    uses for circuits of at most {!exact_inputs_limit} inputs.  Raises
+    [Invalid_argument] on wider circuits. *)
 
 val monte_carlo_signal_probabilities :
   seed:int -> samples:int -> Circuit.t -> float array
 (** Per-node probabilities estimated from [samples] seeded uniform
-    random vectors through the bit-parallel simulator (rounded up to a
-    multiple of 64) — the independent cross-check the switching-activity
+    random vectors (rounded up to a multiple of 64) through
+    {!Sim.sampled} — the independent cross-check the switching-activity
     tests compare {!exact_signal_probabilities} and
-    {!signal_probabilities} against.  Deterministic per [seed]. *)
+    {!signal_probabilities} against.  One splitmix64 word per 64
+    vectors and input, split into two {!Sim.lanes}-lane sweep words, so
+    the estimate is a pure function of [(seed, samples)]. *)
 
 val analyze : ?probabilities:float array -> Circuit.t -> report
 (** Cost report.  Switching activity is computed from per-node signal

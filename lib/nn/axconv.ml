@@ -141,7 +141,7 @@ let conv ?profile ?pool ?scratch ~config ~input ~input_range ~filter
   let out_shape = Conv_spec.output_shape spec (Tensor.shape input) filter in
   let effective_domains =
     match pool with
-    | Some p -> min config.domains (Pool.size p)
+    | Some p -> Int.min config.domains (Pool.size p)
     | None -> 1
   in
   span "axconv.conv"
@@ -220,7 +220,7 @@ let conv ?profile ?pool ?scratch ~config ~input ~input_range ~filter
   let start = ref 0 in
   let chunk_idx = ref 0 in
   while !start < images do
-    let count = min config.chunk_size (images - !start) in
+    let count = Int.min config.chunk_size (images - !start) in
     let row_lo = !start * rows_per_image in
     let chunk_rows = count * rows_per_image in
     let run_chunk () =
@@ -239,16 +239,16 @@ let conv ?profile ?pool ?scratch ~config ~input ~input_range ~filter
         let acc = Scratch.acc (Scratch.domain_local ()) (tile_rows * out_c) in
         let r0 = ref lo in
         while !r0 < hi do
-          let r1 = min hi (!r0 + tile_rows) in
+          let r1 = Int.min hi (!r0 + tile_rows) in
           let k0 = ref 0 in
           while !k0 < out_c do
-            let k1 = min out_c (!k0 + tile_cols) in
+            let k1 = Int.min out_c (!k0 + tile_cols) in
             for r = !r0 to r1 - 1 do
               Array.fill acc (((r - !r0) * out_c) + !k0) (k1 - !k0) 0
             done;
             let p0 = ref 0 in
             while !p0 < taps do
-              let p1 = min taps (!p0 + tile_taps) in
+              let p1 = Int.min taps (!p0 + tile_taps) in
               (match accumulator with
               | Accumulator.Wide when corr = 0 ->
                 (* Fastest path: unsigned LUT entries decode to

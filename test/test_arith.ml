@@ -424,6 +424,128 @@ let prop_lut_agrees_with_function =
       let e = Registry.find_exn "mul8u_drum3" in
       Lut.lookup_value (Registry.lut e) a b = e.Registry.multiply a b)
 
+(* --- closed-form behavioural tables --- *)
+
+(* Test-local verbatim copies of the Mitchell, DRUM and truncation models
+   as they were before leading_one_position became a binary search and
+   Truncation.pruned a precomputed row-mask product.  They are the
+   oracle for every behavioural registry entry's LUT. *)
+module Before = struct
+  let fraction_bits = 16
+  let fraction_mask = (1 lsl fraction_bits) - 1
+
+  let leading_one_position x =
+    let rec go pos =
+      if pos < 0 then -1 else if (x lsr pos) land 1 = 1 then pos else go (pos - 1)
+    in
+    go 62
+
+  let log2_fixed x =
+    if x <= 0 then invalid_arg "Mitchell.log2_fixed: non-positive argument";
+    let l = leading_one_position x in
+    let mantissa = x - (1 lsl l) in
+    (l lsl fraction_bits) + ((mantissa lsl fraction_bits) / (1 lsl l))
+
+  let mitchell a b =
+    if a < 0 || b < 0 then invalid_arg "Mitchell.multiply: negative operand";
+    if a = 0 || b = 0 then 0
+    else begin
+      let s = log2_fixed a + log2_fixed b in
+      let integer = s lsr fraction_bits in
+      let fraction = s land fraction_mask in
+      (* antilog: 2^integer * (1 + fraction) *)
+      (((1 lsl fraction_bits) + fraction) lsl integer) lsr fraction_bits
+    end
+
+  let drum_leading_one_position x =
+    (* Position of the most significant set bit; -1 for zero. *)
+    let rec go pos = if pos < 0 then -1 else if (x lsr pos) land 1 = 1 then pos else go (pos - 1) in
+    go 62
+
+  let approximate_operand ~k x =
+    if k < 2 then invalid_arg "Drum.approximate_operand: k must be >= 2";
+    if x < 0 then invalid_arg "Drum.approximate_operand: negative operand";
+    let l = drum_leading_one_position x in
+    if l < k then x
+    else begin
+      let shift = l - k + 1 in
+      let window = (x lsr shift) lor 1 in
+      window lsl shift
+    end
+
+  let drum ~k a b =
+    let a' = approximate_operand ~k a and b' = approximate_operand ~k b in
+    a' * b'
+
+  let pruned ~bits ~keep a b =
+    let acc = ref 0 in
+    for i = 0 to bits - 1 do
+      if (a lsr i) land 1 = 1 then
+        for j = 0 to bits - 1 do
+          if (b lsr j) land 1 = 1 && keep i j then
+            acc := !acc + (1 lsl (i + j))
+        done
+    done;
+    !acc land ((1 lsl (2 * bits)) - 1)
+
+  let truncated ~bits ~cut a b = pruned ~bits ~keep:(fun i j -> i + j >= cut) a b
+
+  let broken_array ~bits ~hbl ~vbl a b =
+    pruned ~bits ~keep:(fun i j -> i + j >= vbl && j >= hbl) a b
+end
+
+let behavioural_references =
+  let signed = Exact.signed_of_unsigned in
+  [
+    ("mul8u_exact", Exact.mul8u);
+    ("mul8s_exact", Exact.mul8s);
+    ("mul8u_trunc4", Before.truncated ~bits:8 ~cut:4);
+    ("mul8u_trunc6", Before.truncated ~bits:8 ~cut:6);
+    ("mul8u_trunc8", Before.truncated ~bits:8 ~cut:8);
+    ("mul8u_trunc10", Before.truncated ~bits:8 ~cut:10);
+    ("mul8u_bam_h2_v6", Before.broken_array ~bits:8 ~hbl:2 ~vbl:6);
+    ("mul8u_bam_h3_v8", Before.broken_array ~bits:8 ~hbl:3 ~vbl:8);
+    ("mul8u_drum3", Before.drum ~k:3);
+    ("mul8u_drum4", Before.drum ~k:4);
+    ("mul8u_drum6", Before.drum ~k:6);
+    ("mul8s_drum4", signed (Before.drum ~k:4));
+    ("mul8s_drum6", signed (Before.drum ~k:6));
+    ("mul8u_mitchell", Before.mitchell);
+    ("mul8s_mitchell", signed Before.mitchell);
+    ("mul8u_kulkarni", Kulkarni.multiply ~bits:8);
+    ("mul8s_trunc6", signed (Before.truncated ~bits:8 ~cut:6));
+    ( "mul8u_flip14_1e-3",
+      Faults.random_flip ~probability:0.001 ~seed:42 ~bits:14 Exact.mul8u );
+  ]
+
+let test_behavioural_tables_unchanged () =
+  let behavioural =
+    List.filter
+      (fun e -> e.Registry.provenance = Registry.Behavioural)
+      (Registry.all ())
+  in
+  check_int "every behavioural entry has a reference"
+    (List.length behavioural_references) (List.length behavioural);
+  List.iter
+    (fun e ->
+      match List.assoc_opt e.Registry.name behavioural_references with
+      | None -> Alcotest.failf "%s: no reference model" e.Registry.name
+      | Some reference ->
+        let signedness = e.Registry.signedness in
+        check_bool (e.Registry.name ^ ": all 65536 entries") true
+          (Lut.equal
+             (Lut.make ~signedness e.Registry.multiply)
+             (Lut.make ~signedness reference)))
+    behavioural
+
+let prop_leading_one_position =
+  QCheck.Test.make ~name:"leading_one_position = bit scan" ~count:2000
+    QCheck.(pair int (int_bound 62))
+    (fun (x, shift) ->
+      let x = (x land max_int) lsr shift in
+      Mitchell.leading_one_position x = Before.leading_one_position x
+      && Mitchell.leading_one_position 0 = -1)
+
 let () =
   let qsuite =
     List.map QCheck_alcotest.to_alcotest
@@ -431,6 +553,7 @@ let () =
         prop_all_unsigned_entries_in_product_range;
         prop_signed_entries_respect_sign_symmetry;
         prop_lut_agrees_with_function;
+        prop_leading_one_position;
       ]
   in
   Alcotest.run "ax_arith"
@@ -512,6 +635,11 @@ let () =
             test_metrics_truncation_underestimates;
           Alcotest.test_case "mae monotone in cut" `Quick
             test_metrics_monotone_in_cut;
+        ] );
+      ( "tables",
+        [
+          Alcotest.test_case "unchanged by the closed forms" `Slow
+            test_behavioural_tables_unchanged;
         ] );
       ( "registry",
         [

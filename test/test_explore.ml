@@ -175,6 +175,68 @@ let test_search_validates_config () =
     "unknown model resnet9 (have: resnet8, lenet)") (fun () ->
       ignore (Search.model_of_string "resnet9"))
 
+(* Pinned fronts: MD5s of the JSON and CSV that [tfapprox explore --seed
+   S --generations 1 --population 3 --model lenet --images 2] writes.
+   A faster sweep, certifier or scheduler must leave them byte for byte;
+   seed 7 is also run on a 2-domain pool, whose JSON must not differ. *)
+let pinned_fronts =
+  [
+    (3, "41c42c6c0e853c8f12166b80cdf96b1d", "58c5f47b1c82d4943e310d3e5f5154fc");
+    (7, "de389bb54f9e0f98f429e135312909a9", "3a068191ff36ea71d8946906c1b14f7d");
+    (11, "000b614742361cd05e2c95be132e74a8", "5452d94bf98eada4910b05a90babef9b");
+  ]
+
+let test_fronts_pinned () =
+  let md5 text = Digest.to_hex (Digest.string text) in
+  List.iter
+    (fun (seed, json_md5, csv_md5) ->
+      let r = Search.run { tiny_config with Search.seed } in
+      check_string (Printf.sprintf "seed %d JSON" seed) json_md5
+        (md5 (Search.front_json_string r));
+      check_string (Printf.sprintf "seed %d CSV" seed) csv_md5
+        (md5 (Search.front_csv_string r));
+      if seed = 7 then
+        check_string "seed 7 JSON on 2 domains" json_md5
+          (md5
+             (Search.front_json_string
+                (Ax_pool.Pool.with_pool ~domains:2 (fun pool ->
+                     Search.run ~pool { tiny_config with Search.seed })))))
+    pinned_fronts
+
+(* --- allocation gate --- *)
+
+(* The sweep and the BDD manager keep their state in flat int arrays, so
+   tabulating and certifying a candidate allocate next to nothing on the
+   minor heap (the big arrays go straight to the major heap).  64k words
+   is ~1% of what the boxed loops and the Hashtbl manager took on exact8;
+   a loop that boxes a word per gate or per apply blows it at once. *)
+let minor_words_bound = 65_536.
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. before
+
+let test_allocation_bounded () =
+  let m = Multipliers.unsigned_array ~bits:8 in
+  let c = m.Multipliers.circuit in
+  let lut = Search.tabulate m in
+  ignore (Search.certify_candidate m ~lut);
+  List.iter
+    (fun (what, words) ->
+      check_bool
+        (Printf.sprintf "%s: %.0f minor words <= %.0f" what words
+           minor_words_bound)
+        true
+        (words <= minor_words_bound))
+    [
+      ("Sim.exhaustive exact8 (LUT + one-counts)",
+       minor_words (fun () -> Ax_netlist.Sim.exhaustive c));
+      ("Search.tabulate exact8", minor_words (fun () -> Search.tabulate m));
+      ("Search.certify_candidate exact8",
+       minor_words (fun () -> Search.certify_candidate m ~lut));
+    ]
+
 (* --- pareto bookkeeping --- *)
 
 let pt ?(name = "p") ?(acc = 0.5) ?(energy = 0.5) () =
@@ -251,6 +313,12 @@ let () =
             test_seeded_search_deterministic;
           Alcotest.test_case "config validation" `Quick
             test_search_validates_config;
+          Alcotest.test_case "fronts pinned" `Slow test_fronts_pinned;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "sweep and certification bounded" `Quick
+            test_allocation_bounded;
         ] );
       ( "pareto",
         [

@@ -109,6 +109,57 @@ let prop_of_table_is_canonical =
       direct = reference
       && Bdd.satisfy_count m ~vars direct = float_of_int popcount)
 
+(* --- the flat manager against the simulator --- *)
+
+(* In one manager, each output's [of_circuit] node must be the very node
+   [of_table] builds from the simulated truth table's column, and its
+   model count the column's popcount.  [Error] names the first output
+   that differs. *)
+let circuit_matches_table m c =
+  let vars = Circuit.input_count c in
+  let s = Sim.exhaustive c in
+  let outs = Bdd.of_circuit m c in
+  let rec check k = function
+    | [] -> Ok ()
+    | (label, node) :: rest ->
+      let column p = (s.Sim.table.(p) lsr k) land 1 = 1 in
+      let popcount = ref 0 in
+      for p = 0 to s.Sim.patterns - 1 do
+        if column p then incr popcount
+      done;
+      if node <> Bdd.of_table m ~vars column then
+        Error (label ^ ": of_circuit and of_table nodes differ")
+      else if Bdd.satisfy_count m ~vars node <> float_of_int !popcount then
+        Error (label ^ ": satisfy_count differs from the popcount")
+      else check (k + 1) rest
+  in
+  check 0 outs
+
+let prop_of_circuit_is_of_table =
+  QCheck.Test.make ~name:"of_circuit node = of_table node, counts popcount"
+    ~count:200 (Random_circuit.arbitrary ~max_inputs:12) (fun spec ->
+      match circuit_matches_table (Bdd.manager ()) (Random_circuit.build spec) with
+      | Ok () -> true
+      | Error msg -> QCheck.Test.fail_report msg)
+
+(* The exact 8x8 multiplier builds ~69k nodes, so the manager doubles
+   its node arrays and both tables many times past their initial 1024
+   nodes, and its apply calls outnumber the computed table's slots, so
+   entries are overwritten; canonicity must survive both. *)
+let test_bdd_grows_and_stays_canonical () =
+  List.iter
+    (fun (name, m) ->
+      let mgr = Bdd.manager () in
+      (match circuit_matches_table mgr m.Multipliers.circuit with
+      | Ok () -> ()
+      | Error msg -> Alcotest.failf "%s: %s" name msg);
+      check_bool (name ^ ": grew past the initial capacity") true
+        (Bdd.node_count mgr > 1024))
+    [
+      ("exact8", Multipliers.unsigned_array ~bits:8);
+      ("bam_h2v6", Multipliers.broken_array ~bits:8 ~hbl:2 ~vbl:6);
+    ]
+
 let test_bdd_probability_matches_exhaustive () =
   (* Exact signal probability of a full adder's carry: 4/8. *)
   let c = Circuit.create () in
@@ -358,7 +409,10 @@ let () =
           Alcotest.test_case "independence approximation error" `Quick
             test_bdd_exposes_independence_approximation_error;
           Alcotest.test_case "variable index bounds" `Quick test_bdd_var_bounds;
+          Alcotest.test_case "grows and stays canonical" `Slow
+            test_bdd_grows_and_stays_canonical;
           QCheck_alcotest.to_alcotest prop_of_table_is_canonical;
+          QCheck_alcotest.to_alcotest prop_of_circuit_is_of_table;
         ] );
       ( "equivalence",
         [

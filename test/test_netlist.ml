@@ -83,13 +83,21 @@ let test_eval_wrong_arity () =
     (Invalid_argument "Sim.eval: 1 inputs given, circuit has 2") (fun () ->
       ignore (Sim.eval c [| true |]))
 
-let test_eval_words_matches_eval () =
+let test_sweep_matches_eval () =
   let c = xor_circuit () in
-  (* lanes 0..3 carry the four input combinations *)
-  let a = 0b0101L and b = 0b0011L in
-  let outs = Sim.eval_words c [| a; b |] in
-  check_int "bit-parallel xor" 0b0110
-    (Int64.to_int (Int64.logand outs.(0) 0xFL))
+  let s = Sim.exhaustive c in
+  check_int "four patterns" 4 s.Sim.patterns;
+  (* pattern p binds a to bit 0 and b to bit 1 *)
+  for p = 0 to 3 do
+    let out = Sim.eval c [| p land 1 = 1; p land 2 = 2 |] in
+    check_int (Printf.sprintf "pattern %d" p)
+      (if out.(0) then 1 else 0)
+      s.Sim.table.(p)
+  done;
+  (* a, b and a xor b are each high on two of the four patterns *)
+  Array.iteri
+    (fun i ones -> check_int (Printf.sprintf "node %d one-count" i) 2 ones)
+    s.Sim.ones
 
 let test_eval_unsigned () =
   let c = Circuit.create () in
@@ -470,6 +478,278 @@ let test_power_analyze_guards () =
   in
   check_bool "analyze defaults to exact probabilities" true (r = r')
 
+(* More outputs than a table word holds: the sweep that writes the
+   table refuses the circuit, the power path (which needs only the
+   one-counts) does not, and its probabilities are the exact ones. *)
+let test_power_many_outputs () =
+  let c = Circuit.create () in
+  let ins = Array.init 6 (fun i -> Circuit.input c (Printf.sprintf "x%d" i)) in
+  let s = ref ins.(0) in
+  for k = 0 to 39 do
+    let x = ins.((k + 1) mod 6) in
+    s :=
+      (match k mod 3 with
+      | 0 -> Circuit.xor_ c !s x
+      | 1 -> Circuit.or_ c !s x
+      | _ -> Circuit.nand_ c !s x);
+    Circuit.output c (Printf.sprintf "y%d" k) !s
+  done;
+  let n = Circuit.node_count c in
+  let ones = Array.make n 0 in
+  for p = 0 to 63 do
+    let values = Array.make n false in
+    let next_input = ref 0 in
+    Circuit.iter_gates c (fun i g ->
+        values.(i) <-
+          (match g with
+          | Gate.Input _ ->
+            incr next_input;
+            (p lsr (!next_input - 1)) land 1 = 1
+          | g -> Gate.eval g (fun j -> values.(j)));
+        if values.(i) then ones.(i) <- ones.(i) + 1)
+  done;
+  Alcotest.check_raises "table refused past 32 outputs"
+    (Invalid_argument "Sim.exhaustive: 40 outputs exceed the 32-output limit")
+    (fun () -> ignore (Sim.exhaustive c));
+  let sweep = Sim.exhaustive ~table:false c in
+  check_int "no table" 0 (Array.length sweep.Sim.table);
+  check_bool "one-counts exact" true (sweep.Sim.ones = ones);
+  let exact = Array.map (fun k -> float_of_int k /. 64.) ones in
+  check_bool "analyze uses the exact probabilities" true
+    (Power.analyze c = Power.analyze ~probabilities:exact c)
+
+(* --- the sweep against the boxed loops it replaced --- *)
+
+(* Test-local verbatim copies of the two bit-parallel loops the sweep
+   replaced: [Gate.eval_word], [Sim.eval_words] and [Sim.truth_table_2x],
+   and [Power]'s [popcount64], [count_ones_by_simulation] and the input
+   words of its exhaustive and Monte-Carlo estimators.  They are the
+   oracle: the sweep's LUT, one-counts and estimates must be identical. *)
+module Boxed = struct
+  let eval_word g look =
+    let open Int64 in
+    match g with
+    | Gate.Input s -> invalid_arg ("Gate.eval_word: unresolved input " ^ s)
+    | Gate.Const true -> minus_one
+    | Gate.Const false -> zero
+    | Gate.Buf a -> look a
+    | Gate.Not a -> lognot (look a)
+    | Gate.And2 (a, b) -> logand (look a) (look b)
+    | Gate.Or2 (a, b) -> logor (look a) (look b)
+    | Gate.Xor2 (a, b) -> logxor (look a) (look b)
+    | Gate.Nand2 (a, b) -> lognot (logand (look a) (look b))
+    | Gate.Nor2 (a, b) -> lognot (logor (look a) (look b))
+    | Gate.Xnor2 (a, b) -> lognot (logxor (look a) (look b))
+
+  let eval_words c ins =
+    let expected = Circuit.input_count c in
+    if Array.length ins <> expected then
+      invalid_arg
+        (Printf.sprintf "Sim.eval_words: %d inputs given, circuit has %d"
+           (Array.length ins) expected);
+    let values = Array.make (Circuit.node_count c) 0L in
+    let next_input = ref 0 in
+    Circuit.iter_gates c (fun i g ->
+        match g with
+        | Gate.Input _ ->
+          values.(i) <- ins.(!next_input);
+          incr next_input
+        | g -> values.(i) <- eval_word g (fun j -> values.(j)));
+    let outs = Circuit.outputs c in
+    Array.of_list (List.map (fun (_, s) -> values.(Circuit.index s)) outs)
+
+  let truth_table_2x c ~width_a ~width_b =
+    if width_a + width_b <> Circuit.input_count c then
+      invalid_arg "Sim.truth_table_2x: widths do not match circuit inputs";
+    let patterns = 1 lsl (width_a + width_b) in
+    let sweeps = (patterns + 63) / 64 in
+    let table = Array.make patterns 0 in
+    let words = Array.make (width_a + width_b) 0L in
+    for s = 0 to sweeps - 1 do
+      let base = s * 64 in
+      for bit = 0 to width_a + width_b - 1 do
+        let w = ref 0L in
+        for lane = 0 to 63 do
+          let p = base + lane in
+          if p < patterns && (p lsr bit) land 1 = 1 then
+            w := Int64.logor !w (Int64.shift_left 1L lane)
+        done;
+        words.(bit) <- !w
+      done;
+      let outs = eval_words c words in
+      for lane = 0 to 63 do
+        let p = base + lane in
+        if p < patterns then begin
+          let v = ref 0 in
+          Array.iteri
+            (fun bit w ->
+              if Int64.logand (Int64.shift_right_logical w lane) 1L = 1L then
+                v := !v lor (1 lsl bit))
+            outs;
+          table.(p) <- !v
+        end
+      done
+    done;
+    fun a b ->
+      if a < 0 || a >= 1 lsl width_a then
+        invalid_arg "Sim.truth_table_2x: operand a out of range";
+      if b < 0 || b >= 1 lsl width_b then
+        invalid_arg "Sim.truth_table_2x: operand b out of range";
+      table.((b lsl width_a) lor a)
+
+  let popcount64 x =
+    let open Int64 in
+    let x = sub x (logand (shift_right_logical x 1) 0x5555555555555555L) in
+    let x =
+      add
+        (logand x 0x3333333333333333L)
+        (logand (shift_right_logical x 2) 0x3333333333333333L)
+    in
+    let x = logand (add x (shift_right_logical x 4)) 0x0F0F0F0F0F0F0F0FL in
+    to_int (shift_right_logical (mul x 0x0101010101010101L) 56)
+
+  let count_ones_by_simulation c ~sweeps ~word_for ~lanes_of =
+    let n = Circuit.node_count c in
+    let counts = Array.make n 0 in
+    let values = Array.make n 0L in
+    let total_lanes = ref 0 in
+    for sweep = 0 to sweeps - 1 do
+      let next_input = ref 0 in
+      Circuit.iter_gates c (fun i g ->
+          match g with
+          | Gate.Input _ ->
+            values.(i) <- word_for ~sweep ~input_ordinal:!next_input;
+            incr next_input
+          | g -> values.(i) <- eval_word g (fun j -> values.(j)));
+      let lanes = lanes_of sweep in
+      let mask =
+        if lanes >= 64 then -1L
+        else Int64.sub (Int64.shift_left 1L lanes) 1L
+      in
+      total_lanes := !total_lanes + Int.min lanes 64;
+      for i = 0 to n - 1 do
+        counts.(i) <- counts.(i) + popcount64 (Int64.logand values.(i) mask)
+      done
+    done;
+    (counts, !total_lanes)
+
+  (* [exact_signal_probabilities]' sweep, returning the raw counts *)
+  let exact_counts c =
+    let bits = Circuit.input_count c in
+    let patterns = 1 lsl bits in
+    let sweeps = (patterns + 63) / 64 in
+    let word_for ~sweep ~input_ordinal =
+      let w = ref 0L in
+      for lane = 0 to 63 do
+        let p = (sweep * 64) + lane in
+        if p < patterns && (p lsr input_ordinal) land 1 = 1 then
+          w := Int64.logor !w (Int64.shift_left 1L lane)
+      done;
+      !w
+    in
+    let lanes_of sweep = Int.min 64 (patterns - (sweep * 64)) in
+    count_ones_by_simulation c ~sweeps ~word_for ~lanes_of
+
+  let monte_carlo_signal_probabilities ~seed ~samples c =
+    let state = ref (Int64.logxor (Int64.of_int seed) 0x9E3779B97F4A7C15L) in
+    let next () =
+      state := Int64.add !state 0x9E3779B97F4A7C15L;
+      let z = !state in
+      let z =
+        Int64.mul
+          (Int64.logxor z (Int64.shift_right_logical z 30))
+          0xBF58476D1CE4E5B9L
+      in
+      let z =
+        Int64.mul
+          (Int64.logxor z (Int64.shift_right_logical z 27))
+          0x94D049BB133111EBL
+      in
+      Int64.logxor z (Int64.shift_right_logical z 31)
+    in
+    let sweeps = (samples + 63) / 64 in
+    let bits = Circuit.input_count c in
+    let table = Array.init (sweeps * Int.max 1 bits) (fun _ -> next ()) in
+    let word_for ~sweep ~input_ordinal = table.((sweep * bits) + input_ordinal) in
+    let lanes_of _ = 64 in
+    let counts, total = count_ones_by_simulation c ~sweeps ~word_for ~lanes_of in
+    Array.map (fun ones -> float_of_int ones /. float_of_int total) counts
+end
+
+(* Table, one-counts and Monte-Carlo estimates identical to the boxed
+   loops on one circuit; [Error] names the first difference. *)
+let sweep_vs_boxed ?(mc_samples = [ 1; 100; 4096 ]) c =
+  let inputs = Circuit.input_count c in
+  let wa = inputs / 2 in
+  let wb = inputs - wa in
+  let s = Sim.exhaustive c in
+  let old_tt = Boxed.truth_table_2x c ~width_a:wa ~width_b:wb in
+  let new_tt = Sim.truth_table_2x c ~width_a:wa ~width_b:wb in
+  let counts, total = Boxed.exact_counts c in
+  let first_diff = ref None in
+  let fail fmt =
+    Printf.ksprintf
+      (fun m -> if Option.is_none !first_diff then first_diff := Some m)
+      fmt
+  in
+  if s.Sim.patterns <> total then fail "patterns %d, boxed %d" s.Sim.patterns total;
+  for b = 0 to (1 lsl wb) - 1 do
+    for a = 0 to (1 lsl wa) - 1 do
+      let want = old_tt a b in
+      if s.Sim.table.((b lsl wa) lor a) <> want || new_tt a b <> want then
+        fail "pattern (%d, %d): sweep %d, boxed %d" a b
+          s.Sim.table.((b lsl wa) lor a) want
+    done
+  done;
+  Array.iteri
+    (fun i want ->
+      if s.Sim.ones.(i) <> want then
+        fail "node %d one-count: sweep %d, boxed %d" i s.Sim.ones.(i) want)
+    counts;
+  List.iter
+    (fun samples ->
+      let seed = samples + inputs in
+      let want = Boxed.monte_carlo_signal_probabilities ~seed ~samples c in
+      let got = Power.monte_carlo_signal_probabilities ~seed ~samples c in
+      if got <> want then fail "monte-carlo estimate differs at %d samples" samples)
+    mc_samples;
+  match !first_diff with None -> Ok () | Some m -> Error m
+
+let seed_and_registry_netlists () =
+  [
+    ("exact8", Multipliers.unsigned_array ~bits:8);
+    ("trunc4", Multipliers.truncated ~bits:8 ~cut:4);
+    ("trunc6", Multipliers.truncated ~bits:8 ~cut:6);
+    ("trunc8", Multipliers.truncated ~bits:8 ~cut:8);
+    ("trunc10", Multipliers.truncated ~bits:8 ~cut:10);
+    ("bam_h2v6", Multipliers.broken_array ~bits:8 ~hbl:2 ~vbl:6);
+    ("bam_h3v8", Multipliers.broken_array ~bits:8 ~hbl:3 ~vbl:8);
+    ("bam_h4v10", Multipliers.broken_array ~bits:8 ~hbl:4 ~vbl:10);
+  ]
+  @ List.filter_map
+      (fun (e : Ax_arith.Registry.entry) ->
+        Option.map (fun make -> (e.Ax_arith.Registry.name, make ())) e.netlist)
+      (Ax_arith.Registry.all ())
+
+let test_sweep_oracle_netlists () =
+  let subjects = seed_and_registry_netlists () in
+  check_int "eight seeds and four registry netlists" 12 (List.length subjects);
+  check_bool "signed Baugh-Wooley among them" true
+    (List.exists (fun (_, m) -> m.Multipliers.signed) subjects);
+  List.iter
+    (fun (name, m) ->
+      match sweep_vs_boxed ~mc_samples:[ 16384 ] m.Multipliers.circuit with
+      | Ok () -> ()
+      | Error msg -> Alcotest.failf "%s: %s" name msg)
+    subjects
+
+let prop_sweep_matches_boxed =
+  QCheck.Test.make ~name:"sweep = boxed loops on random circuits" ~count:150
+    (Random_circuit.arbitrary ~max_inputs:14) (fun spec ->
+      match sweep_vs_boxed (Random_circuit.build spec) with
+      | Ok () -> true
+      | Error msg -> QCheck.Test.fail_report msg)
+
 (* --- verilog --- *)
 
 let test_verilog_structure () =
@@ -547,6 +827,9 @@ let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest
       [ prop_pruned_le_exact; prop_mul_commutative_exact ]
   in
+  let sweep_props =
+    List.map QCheck_alcotest.to_alcotest [ prop_sweep_matches_boxed ]
+  in
   Alcotest.run "ax_netlist"
     [
       ( "circuit",
@@ -562,8 +845,8 @@ let () =
         [
           Alcotest.test_case "eval truth table" `Quick test_eval_truth_table;
           Alcotest.test_case "eval wrong arity" `Quick test_eval_wrong_arity;
-          Alcotest.test_case "eval_words matches eval" `Quick
-            test_eval_words_matches_eval;
+          Alcotest.test_case "sweep matches eval" `Quick
+            test_sweep_matches_eval;
           Alcotest.test_case "eval_unsigned adder" `Quick test_eval_unsigned;
         ] );
       ( "adders",
@@ -615,7 +898,13 @@ let () =
             test_power_pdp_ranking_pinned;
           Alcotest.test_case "analyze guards" `Quick
             test_power_analyze_guards;
+          Alcotest.test_case "analyze past 32 outputs" `Quick
+            test_power_many_outputs;
         ] );
+      ( "sweep",
+        Alcotest.test_case "seed and registry netlists" `Slow
+          test_sweep_oracle_netlists
+        :: sweep_props );
       ( "opt",
         [
           Alcotest.test_case "strip_dead interface & equivalence" `Slow
