@@ -1,9 +1,8 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation plus the ablations listed in DESIGN.md.
+(* Benchmark harness: the ablations and gates listed in DESIGN.md.
+   Table I and Fig. 2 are the CLI's `tfapprox table1` and `tfapprox
+   fig2`.
 
      dune exec bench/main.exe              # everything (a few minutes)
-     dune exec bench/main.exe -- table1    # Table I only
-     dune exec bench/main.exe -- fig2      # Fig. 2 only
      dune exec bench/main.exe -- lut-independence
      dune exec bench/main.exe -- cache-ablation
      dune exec bench/main.exe -- chunk-ablation
@@ -34,7 +33,6 @@ module Cost = Ax_gpusim.Cost
 module Resnet = Ax_models.Resnet
 module Cifar = Ax_data.Cifar
 module Experiments = Tfapprox.Experiments
-module Report = Tfapprox.Report
 
 let images_measured =
   match Sys.getenv_opt "TFAPPROX_BENCH_IMAGES" with
@@ -47,40 +45,6 @@ let write_file path text =
   let oc = open_out path in
   output_string oc text;
   close_out oc
-
-(* ------------------------------------------------------------------ *)
-(* E1: Table I                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let run_table1 () =
-  section "E1: Table I (CPU measured & scaled to 10k images; GPU modelled)";
-  Format.printf "CPU sample: %d images per network, scaled x%d@.@."
-    images_measured
-    (10_000 / images_measured);
-  let rows = Experiments.table1 ~images_measured () in
-  Report.print_table1 Format.std_formatter rows;
-  (* The paper's headline shape: speedup grows with depth. *)
-  let speedups = List.map (fun r -> r.Experiments.speedup_approx) rows in
-  let monotone =
-    let rec go = function
-      | a :: (b :: _ as rest) -> a <= b +. (0.15 *. b) && go rest
-      | [ _ ] | [] -> true
-    in
-    go speedups
-  in
-  Format.printf "speedup grows with depth (paper: 107x -> 213x): %b@."
-    monotone
-
-(* ------------------------------------------------------------------ *)
-(* E2: Fig. 2                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let run_fig2 () =
-  section "E2: Fig. 2 time distribution (CPU measured, GPU modelled)";
-  let rows = Experiments.fig2 ~images_measured () in
-  Report.print_fig2 Format.std_formatter rows;
-  Format.printf
-    "paper, ResNet-62: CPU 0.8/64/7/28%%, GPU 10/20/26/43%% (init/quant/LUT/rest)@."
 
 (* ------------------------------------------------------------------ *)
 (* Timing helpers                                                      *)
@@ -956,8 +920,6 @@ let run_device_sweep () =
 
 let all_sections =
   [
-    ("table1", run_table1);
-    ("fig2", run_fig2);
     ("lut-independence", run_lut_independence);
     ("cache-ablation", run_cache_ablation);
     ("chunk-ablation", run_chunk_ablation);

@@ -198,26 +198,20 @@ let coordinator_fixed () =
          in
          [ body; body ]))
 
-(* Record-mode soak of the real pool: static and dynamic fan-outs, a
-   reduction, an exception crossing the join, and a stats read, over
-   real worker domains.  The migrated pool must come back with zero
-   findings. *)
+(* Record-mode soak of the real pool: auto-grain and fixed-grain
+   fan-outs, an ordered map, an exception crossing the join, and a stats
+   read, over real worker domains.  The migrated pool must come back
+   with zero findings. *)
 let pool_discipline () =
   to_diagnostics
     (with_record (fun () ->
          Pool.with_pool ~domains:2 (fun p ->
              Pool.parallel_for p ~lo:0 ~hi:64 (fun ~lo:_ ~hi:_ -> ());
-             Pool.parallel_for p
-               ~schedule:(Pool.dynamic ~grain:4 ())
-               ~lo:0 ~hi:64
-               (fun ~lo:_ ~hi:_ -> ());
-             let total =
-               Pool.map_reduce p ~lo:0 ~hi:100
-                 ~map:(fun ~lo ~hi -> hi - lo)
-                 ~reduce:( + ) 0
-             in
-             if total <> 100 then
-               failwith "conc_check: map_reduce self-check failed";
+             Pool.parallel_for p ~grain:4 ~lo:0 ~hi:64 (fun ~lo:_ ~hi:_ -> ());
+             Pool.map_array p (fun i -> i * i) (Array.init 100 Fun.id)
+             |> Array.iteri (fun i sq ->
+                    if sq <> i * i then
+                      failwith "conc_check: map_array self-check failed");
              (try
                 Pool.parallel_for p ~lo:0 ~hi:8 (fun ~lo:_ ~hi:_ ->
                     failwith "boom")

@@ -88,15 +88,13 @@ let run_sharded ?profile ?tap ~domains ~backend g input =
     (out, shard_profile, Unix.gettimeofday () -. start)
   in
   let batch () =
-    (* Images are claimed dynamically, one per claim: image cost varies
-       (cache state, range content), and whichever domain drains its
-       image first takes the next.  Shard [i]'s output never depends on
-       which domain ran it, and [map_array] returns results in index
-       order, so the concatenation is bit-identical to the static
-       split. *)
+    (* Images are claimed one per claim: image cost varies (cache
+       state, range content), and whichever domain drains its image
+       first takes the next.  Shard [i]'s output never depends on which
+       domain ran it, and [map_array] returns results in index order,
+       so the concatenation is bit-identical for any domain count. *)
     let results =
-      Pool.map_array pool ~max_domains:domains
-        ~schedule:(Pool.Dynamic { grain = 1 }) run_shard
+      Pool.map_array pool ~max_domains:domains run_shard
         (Array.init images (fun i -> i))
     in
     (match profile with

@@ -257,9 +257,7 @@ let run ?pool config =
     let rec chunks candidates =
       let room = budget - !evaluated - !planned in
       if room > 0 && not (List.is_empty candidates) then begin
-        Pool.map_array pool ?max_domains:config.max_domains
-          ~schedule:(Pool.Dynamic { grain = 1 })
-          sweep_job
+        Pool.map_array pool ?max_domains:config.max_domains sweep_job
           (Array.of_list (List.filteri (fun i _ -> i < room) candidates))
         |> Array.iter (fun (key, job) ->
                if Hashtbl.mem seen key then incr cache_hits
@@ -276,7 +274,6 @@ let run ?pool config =
     let jobs = Array.of_list (List.rev !jobs) in
     let outcomes =
       Pool.map_array pool ?max_domains:config.max_domains
-        ~schedule:(Pool.Dynamic { grain = 1 })
         (evaluate ~base_graph ~dataset)
         jobs
     in

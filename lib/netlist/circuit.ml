@@ -54,7 +54,9 @@ let gate_at c i =
 let const_value c s =
   match gate_at c s with Gate.Const b -> Some b | _ -> None
 
-let buf_ c s = intern c (Gate.Buf s)
+let buf_ c s =
+  ignore (gate_at c s);
+  intern c (Gate.Buf s)
 
 let not_ c a =
   match gate_at c a with
@@ -100,6 +102,7 @@ let mux c ~sel t e =
   or_ c (and_ c sel t) (and_ c (not_ c sel) e)
 
 let output c label s =
+  ignore (gate_at c s);
   if List.mem_assoc label c.outputs_rev then
     invalid_arg ("Circuit.output: duplicate label " ^ label);
   c.outputs_rev <- (label, s) :: c.outputs_rev

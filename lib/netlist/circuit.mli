@@ -25,6 +25,11 @@ val input : t -> string -> signal
 val const : t -> bool -> signal
 (** Constant driver (hash-consed: at most one node per polarity). *)
 
+(** The gate constructors below, and {!output}, raise
+    [Invalid_argument] on a signal that is not a node of [c] (one taken
+    from another, larger circuit), so a mixed-up signal fails where the
+    circuit is built, not later in a simulator. *)
+
 val buf_ : t -> signal -> signal
 val not_ : t -> signal -> signal
 val and_ : t -> signal -> signal -> signal

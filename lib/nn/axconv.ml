@@ -226,8 +226,8 @@ let conv ?profile ?pool ?scratch ~config ~input ~input_range ~filter
     let run_chunk () =
       let mp, sp =
         charge Profile.Quantization (fun () ->
-            Im2col.to_codes_range ?pool ~domains:config.domains
-              ~schedule:(Pool.dynamic ()) ~scratch plan input ~row_lo
+            Im2col.to_codes_range ?pool ~domains:config.domains ~scratch
+              plan input ~row_lo
               ~row_hi:(row_lo + chunk_rows) ~coeffs:coeffs1
               ~round_mode:config.round_mode ~signedness)
       in
@@ -341,17 +341,17 @@ let conv ?profile ?pool ?scratch ~config ~input ~input_range ~filter
           r0 := r1
         done
       in
-      (* Chunk rows are claimed dynamically (a few tiles per claim):
-         whichever domain finishes its tiles first steals the next
-         range, so one slow domain no longer stalls the chunk.  Output
-         rows are produced whole by their claiming domain, hence
-         bit-identical for any domain count and either schedule. *)
+      (* Chunk rows are claimed a few tiles at a time: whichever domain
+         finishes its tiles first takes the next range, so one slow
+         domain does not stall the chunk.  Output rows are produced
+         whole by their claiming domain, hence bit-identical for any
+         domain count. *)
       charge Profile.Lut (fun () ->
           match pool with
           | Some p ->
             Pool.parallel_for p ~max_domains:config.domains
-              ~schedule:(Pool.Dynamic { grain = gemm_grain }) ~lo:0
-              ~hi:chunk_rows (fun ~lo ~hi -> gemm_rows lo hi)
+              ~grain:gemm_grain ~lo:0 ~hi:chunk_rows (fun ~lo ~hi ->
+                gemm_rows lo hi)
           | None -> gemm_rows 0 chunk_rows);
       (* Per-chunk accounting runs exactly once per chunk, on the
          coordinating domain, after the parallel region has joined — so

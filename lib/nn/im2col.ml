@@ -75,13 +75,7 @@ let iter_patch plan ~n ~oh ~ow ~inside ~padded =
    domain independently; the fill loops inline the division to avoid a
    per-row coordinate tuple. *)
 
-let parallelize ?pool ?(domains = 1) ?schedule ~lo ~hi body =
-  match pool with
-  | Some p when domains > 1 && hi - lo > 1 ->
-    Pool.parallel_for p ~max_domains:domains ?schedule ~lo ~hi body
-  | Some _ | None -> if lo < hi then body ~lo ~hi
-
-let to_matrix ?pool ?domains ?schedule ?scratch plan input =
+let to_matrix ?scratch plan input =
   if not (Shape.equal (Tensor.shape input) plan.input_shape) then
     invalid_arg "Im2col.to_matrix: input shape differs from plan";
   let m =
@@ -97,23 +91,20 @@ let to_matrix ?pool ?domains ?schedule ?scratch plan input =
       { Matrix.rows = plan.rows; cols = plan.patch_len; data }
   in
   let buf = Tensor.buffer input in
-  let fill_rows ~lo ~hi =
-    (* Closures and the row cursor live outside the row loop — one
-       allocation per sub-range, not per row — so scratch-backed reuse
-       really is allocation-free in steady state. *)
-    let row_base = ref 0 in
-    let inside col off = m.Matrix.data.(!row_base + col) <- buf.{off} in
-    let padded _ = () in
-    let per_image = plan.out_h * plan.out_w in
-    for row = lo to hi - 1 do
-      let n = row / per_image in
-      let rem = row mod per_image in
-      row_base := row * plan.patch_len;
-      iter_patch plan ~n ~oh:(rem / plan.out_w) ~ow:(rem mod plan.out_w)
-        ~inside ~padded
-    done
-  in
-  parallelize ?pool ?domains ?schedule ~lo:0 ~hi:plan.rows fill_rows;
+  (* Closures and the row cursor live outside the row loop — one
+     allocation per call, not per row — so scratch-backed reuse really
+     is allocation-free in steady state. *)
+  let row_base = ref 0 in
+  let inside col off = m.Matrix.data.(!row_base + col) <- buf.{off} in
+  let padded _ = () in
+  let per_image = plan.out_h * plan.out_w in
+  for row = 0 to plan.rows - 1 do
+    let n = row / per_image in
+    let rem = row mod per_image in
+    row_base := row * plan.patch_len;
+    iter_patch plan ~n ~oh:(rem / plan.out_w) ~ow:(rem mod plan.out_w)
+      ~inside ~padded
+  done;
   m
 
 (* Quantize rows [row_lo, row_hi) of the plan into [mp]/[sp], row [r]
@@ -122,8 +113,8 @@ let to_matrix ?pool ?domains ?schedule ?scratch plan input =
    (including the hash-based stochastic rounding) is a pure function of
    the input value — so any row split, and any chunking of the full row
    range, produces bit-identical codes. *)
-let fill_codes ?pool ?domains ?schedule plan input mp sp ~row_lo ~row_hi
-    ~coeffs ~round_mode ~signedness =
+let fill_codes ?pool ?(domains = 1) plan input mp sp ~row_lo ~row_hi ~coeffs
+    ~round_mode ~signedness =
   let buf = Tensor.buffer input in
   let inv_alpha = 1. /. coeffs.Q.alpha in
   let betaf = float_of_int coeffs.Q.beta in
@@ -182,23 +173,22 @@ let fill_codes ?pool ?domains ?schedule plan input mp sp ~row_lo ~row_hi
       sp.(row - row_lo) <- !acc
     done
   in
-  parallelize ?pool ?domains ?schedule ~lo:row_lo ~hi:row_hi fill_rows
+  match pool with
+  | Some p when domains > 1 && row_hi - row_lo > 1 ->
+    Pool.parallel_for p ~max_domains:domains ~lo:row_lo ~hi:row_hi fill_rows
+  | Some _ | None -> if row_lo < row_hi then fill_rows ~lo:row_lo ~hi:row_hi
 
-let to_codes ?pool ?domains ?schedule ?scratch plan input ~coeffs ~round_mode
-    ~signedness =
+let to_codes plan input ~coeffs ~round_mode ~signedness =
   if not (Shape.equal (Tensor.shape input) plan.input_shape) then
     invalid_arg "Im2col.to_codes: input shape differs from plan";
-  let mp, sp =
-    match scratch with
-    | None -> (Bytes.create (plan.rows * plan.patch_len), Array.make plan.rows 0)
-    | Some s -> (Scratch.mp s (plan.rows * plan.patch_len), Scratch.sp s plan.rows)
-  in
-  fill_codes ?pool ?domains ?schedule plan input mp sp ~row_lo:0
-    ~row_hi:plan.rows ~coeffs ~round_mode ~signedness;
+  let mp = Bytes.create (plan.rows * plan.patch_len) in
+  let sp = Array.make plan.rows 0 in
+  fill_codes plan input mp sp ~row_lo:0 ~row_hi:plan.rows ~coeffs ~round_mode
+    ~signedness;
   (mp, sp)
 
-let to_codes_range ?pool ?domains ?schedule ~scratch plan input ~row_lo
-    ~row_hi ~coeffs ~round_mode ~signedness =
+let to_codes_range ?pool ?domains ~scratch plan input ~row_lo ~row_hi ~coeffs
+    ~round_mode ~signedness =
   if not (Shape.equal (Tensor.shape input) plan.input_shape) then
     invalid_arg "Im2col.to_codes_range: input shape differs from plan";
   if row_lo < 0 || row_hi < row_lo || row_hi > plan.rows then
@@ -206,6 +196,6 @@ let to_codes_range ?pool ?domains ?schedule ~scratch plan input ~row_lo
   let rows = row_hi - row_lo in
   let mp = Scratch.mp scratch (rows * plan.patch_len) in
   let sp = Scratch.sp scratch rows in
-  fill_codes ?pool ?domains ?schedule plan input mp sp ~row_lo ~row_hi
-    ~coeffs ~round_mode ~signedness;
+  fill_codes ?pool ?domains plan input mp sp ~row_lo ~row_hi ~coeffs
+    ~round_mode ~signedness;
   (mp, sp)

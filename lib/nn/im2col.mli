@@ -25,26 +25,13 @@ val make :
   Ax_tensor.Shape.t -> kh:int -> kw:int -> spec:Conv_spec.t -> plan
 
 val to_matrix :
-  ?pool:Ax_pool.Pool.t ->
-  ?domains:int ->
-  ?schedule:Ax_pool.Pool.schedule ->
-  ?scratch:Scratch.t ->
-  plan ->
-  Ax_tensor.Tensor.t ->
-  Ax_tensor.Matrix.t
-(** Float patch matrix; padding cells hold 0.  With a [pool] and
-    [domains > 1] the rows are filled in parallel (each row touches
-    disjoint output cells, so the result is bit-identical to the serial
-    fill for any split and either schedule; [schedule] defaults to the
-    pool's static partitioning).  With [scratch] the matrix data lives in the
-    arena's float buffer (oversized; valid cells are
-    [rows * patch_len]) instead of a fresh allocation. *)
+  ?scratch:Scratch.t -> plan -> Ax_tensor.Tensor.t -> Ax_tensor.Matrix.t
+(** Float patch matrix, filled serially; padding cells hold 0.  With
+    [scratch] the matrix data lives in the arena's float buffer
+    (oversized; valid cells are [rows * patch_len]) instead of a fresh
+    allocation. *)
 
 val to_codes :
-  ?pool:Ax_pool.Pool.t ->
-  ?domains:int ->
-  ?schedule:Ax_pool.Pool.schedule ->
-  ?scratch:Scratch.t ->
   plan ->
   Ax_tensor.Tensor.t ->
   coeffs:Ax_quant.Quantization.coeffs ->
@@ -56,13 +43,11 @@ val to_codes :
     ([Sp] in Algorithm 1).  Padding cells quantize the real value 0 —
     i.e. they hold the zero-point — so they participate in the LUT sum
     and in [Sp] exactly as a hardware zero-padded accelerator would.
-    With [scratch] the returned buffers are the arena's (oversized,
-    reused across calls); without, they are freshly allocated. *)
+    Filled serially into freshly allocated buffers. *)
 
 val to_codes_range :
   ?pool:Ax_pool.Pool.t ->
   ?domains:int ->
-  ?schedule:Ax_pool.Pool.schedule ->
   scratch:Scratch.t ->
   plan ->
   Ax_tensor.Tensor.t ->
@@ -77,5 +62,7 @@ val to_codes_range :
     buffer row [r - row_lo]).  This is how the chunked GEMM lowers one
     chunk at a time against the whole-batch plan — no per-chunk batch
     slice, no per-chunk allocation, bit-identical codes for any
-    chunking.  Raises [Invalid_argument] if the range leaves the
-    plan. *)
+    chunking.  With a [pool] and [domains > 1] (default 1) the rows are
+    claimed across domains at the pool's auto grain; each row writes
+    only its own cells, so the codes are bit-identical to the serial
+    fill.  Raises [Invalid_argument] if the range leaves the plan. *)

@@ -7,14 +7,9 @@ module Catomic = Ax_conc.Atomic
 
 let max_domains_limit = 64
 
-type schedule = Static | Dynamic of { grain : int }
-
-let dynamic ?(grain = 0) () = Dynamic { grain }
-
 type stats = {
   parallel_calls : int;
   inline_calls : int;
-  dynamic_calls : int;
   claims : int;
   tasks : int;
   busy_seconds : float;
@@ -29,8 +24,8 @@ type t = {
   work_done : Ccond.t;
   (* One job at a time: the coordinator installs [job] and bumps
      [generation]; each worker runs the job for its own slot exactly
-     once per generation.  Static slot assignment — no queue, no
-     stealing — is what makes the execution deterministic. *)
+     once per generation.  The job is a claim loop (see [parallel_for]):
+     which slot runs a claim varies, what the claim covers never does. *)
   mutable generation : int;
   mutable job : (int -> unit) option;
   job_cell : Ax_conc.Race.cell;
@@ -46,7 +41,6 @@ type t = {
      concurrent systhread callers taking the inline path. *)
   mutable parallel_calls : int;
   mutable inline_calls : int;
-  mutable dynamic_calls : int;
   mutable claims : int;
   mutable tasks : int;
   mutable busy_s : float;
@@ -122,7 +116,7 @@ let worker_body t slot () =
 
 let env_var = "TFAPPROX_DOMAINS"
 
-let clamp_domains d = max 1 (min max_domains_limit d)
+let clamp_domains d = Int.max 1 (Int.min max_domains_limit d)
 
 (* The one domains-count validator: every API that accepts a user-given
    count ([Pool.create], [Axconv.make_config], [Emulator.run ?domains])
@@ -164,10 +158,9 @@ let create ?domains () =
       active = false;
       shut_down = false;
       workers = [||];
-      worker_ids = Array.make (max 0 (domains - 1)) (Domain.self ());
+      worker_ids = Array.make (Int.max 0 (domains - 1)) (Domain.self ());
       parallel_calls = 0;
       inline_calls = 0;
-      dynamic_calls = 0;
       claims = 0;
       tasks = 0;
       busy_s = 0.;
@@ -312,33 +305,24 @@ let run_slots t ~slots task =
 
 let split_count t ?max_domains n =
   let cap =
-    match max_domains with Some m -> max 1 (min m t.size) | None -> t.size
+    match max_domains with
+    | Some m -> Int.max 1 (Int.min m t.size)
+    | None -> t.size
   in
-  max 1 (min cap n)
-
-(* Sub-range [s] of the static partition of [lo, hi) into [slots]
-   pieces.  ceil-sized so every slot below the tail is full; callers
-   skip the (possible) empty tail slots. *)
-let slot_range ~lo ~hi ~slots s =
-  let n = hi - lo in
-  let per = (n + slots - 1) / slots in
-  let slo = lo + (s * per) in
-  let shi = min hi (slo + per) in
-  (slo, shi)
+  Int.max 1 (Int.min cap n)
 
 (* A grain of 0 (or below) means "auto": a few claims per slot, so a
    skewed tail can rebalance without paying a claim per index. *)
 let resolve_grain ~n ~slots grain =
-  if grain >= 1 then grain else max 1 (n / (slots * 4))
+  if grain >= 1 then grain else Int.max 1 (n / (slots * 4))
 
-(* Dynamic range claiming: the range [lo, hi) is cut into fixed
-   [grain]-sized claims and every participating domain grabs the next
-   unclaimed one off an atomic counter until none are left.  WHICH
-   domain runs a claim varies run to run; WHAT each claim covers never
-   does — claim [c] is always [lo + c*grain, min hi (lo + (c+1)*grain)).
-   Any task whose claims touch disjoint state is therefore bit-identical
-   to the static split, and reductions stay deterministic by combining
-   per-claim results in ascending claim order (see [map_reduce]).
+(* Range claiming: the range [lo, hi) is cut into fixed [grain]-sized
+   claims and every participating domain grabs the next unclaimed one
+   off an atomic counter until none are left.  WHICH domain runs a
+   claim varies run to run; WHAT each claim covers never does — claim
+   [c] is always [lo + c*grain, min hi (lo + (c+1)*grain)).  Any task
+   whose claims touch disjoint state is therefore bit-identical for
+   every pool size and [max_domains].
 
    Exceptions: a failing claim is recorded (lowest claim index wins) and
    the counter is short-circuited so no further claims are handed out;
@@ -347,16 +331,14 @@ let resolve_grain ~n ~slots grain =
    minimum over executed failing claims equals the global minimum
    failing claim, and the re-raise is deterministic.  Exactly one
    re-raise, after the join. *)
-let run_dynamic t ~slots ~lo ~hi ~grain task =
+let run_claims t ~slots ~lo ~hi ~grain task =
   let n = hi - lo in
   let claims = (n + grain - 1) / grain in
-  let slots = min slots claims in
-  Cmutex.with_lock t.mutex (fun () ->
-      t.dynamic_calls <- t.dynamic_calls + 1;
-      t.claims <- t.claims + claims);
+  let slots = Int.min slots claims in
+  Cmutex.with_lock t.mutex (fun () -> t.claims <- t.claims + claims);
   let fail_mutex = Cmutex.create ~order:30 ~name:"pool.claim-failure" () in
   let failure = ref None in
-  let next = Catomic.make ~name:"pool.dynamic-next" 0 in
+  let next = Catomic.make ~name:"pool.next-claim" 0 in
   let claim_loop _slot =
     let continue_ = ref true in
     while !continue_ do
@@ -364,7 +346,7 @@ let run_dynamic t ~slots ~lo ~hi ~grain task =
       if c >= claims then continue_ := false
       else begin
         let clo = lo + (c * grain) in
-        let chi = min hi (clo + grain) in
+        let chi = Int.min hi (clo + grain) in
         try task ~lo:clo ~hi:chi
         with e ->
           let bt = Printexc.get_raw_backtrace () in
@@ -387,55 +369,19 @@ let run_dynamic t ~slots ~lo ~hi ~grain task =
   | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
   | None -> ()
 
-let parallel_for t ?max_domains ?(schedule = Static) ~lo ~hi body =
+let parallel_for t ?max_domains ?(grain = 0) ~lo ~hi body =
   let n = hi - lo in
-  if n <= 0 then ()
-  else begin
+  if n > 0 then begin
     let slots = split_count t ?max_domains n in
-    match schedule with
-    | Static ->
-      run_slots t ~slots (fun s ->
-          let slo, shi = slot_range ~lo ~hi ~slots s in
-          if slo < shi then body ~lo:slo ~hi:shi)
-    | Dynamic { grain } ->
-      let grain = resolve_grain ~n ~slots grain in
-      run_dynamic t ~slots ~lo ~hi ~grain body
+    run_claims t ~slots ~lo ~hi ~grain:(resolve_grain ~n ~slots grain) body
   end
 
-let map_reduce t ?max_domains ?(schedule = Static) ~lo ~hi ~map ~reduce init =
-  let n = hi - lo in
-  if n <= 0 then init
-  else begin
-    let slots = split_count t ?max_domains n in
-    let fold results =
-      Array.fold_left
-        (fun acc r -> match r with Some v -> reduce acc v | None -> acc)
-        init results
-    in
-    match schedule with
-    | Static ->
-      let results = Array.make slots None in
-      run_slots t ~slots (fun s ->
-          let slo, shi = slot_range ~lo ~hi ~slots s in
-          if slo < shi then results.(s) <- Some (map ~lo:slo ~hi:shi));
-      fold results
-    | Dynamic { grain } ->
-      (* Claim [c]'s result always lands in cell [c], so the ascending
-         fold is independent of which domain claimed what. *)
-      let grain = resolve_grain ~n ~slots grain in
-      let claims = (n + grain - 1) / grain in
-      let results = Array.make claims None in
-      run_dynamic t ~slots ~lo ~hi ~grain (fun ~lo:clo ~hi:chi ->
-          results.((clo - lo) / grain) <- Some (map ~lo:clo ~hi:chi));
-      fold results
-  end
-
-let map_array t ?max_domains ?schedule f items =
+let map_array t ?max_domains f items =
   let n = Array.length items in
   if n = 0 then [||]
   else begin
     let results = Array.make n None in
-    parallel_for t ?max_domains ?schedule ~lo:0 ~hi:n (fun ~lo ~hi ->
+    parallel_for t ?max_domains ~grain:1 ~lo:0 ~hi:n (fun ~lo ~hi ->
         for i = lo to hi - 1 do
           results.(i) <- Some (f items.(i))
         done);
@@ -449,7 +395,6 @@ let stats t =
       {
         parallel_calls = t.parallel_calls;
         inline_calls = t.inline_calls;
-        dynamic_calls = t.dynamic_calls;
         claims = t.claims;
         tasks = t.tasks;
         busy_seconds = t.busy_s;
@@ -481,8 +426,6 @@ let publish t metrics =
     (float_of_int s.parallel_calls);
   Ax_obs.Metrics.set_gauge metrics "pool_inline_calls"
     (float_of_int s.inline_calls);
-  Ax_obs.Metrics.set_gauge metrics "pool_dynamic_calls"
-    (float_of_int s.dynamic_calls);
   Ax_obs.Metrics.set_gauge metrics "pool_claims" (float_of_int s.claims);
   Ax_obs.Metrics.set_gauge metrics "pool_tasks" (float_of_int s.tasks);
   Ax_obs.Metrics.set_gauge metrics "pool_busy_seconds" s.busy_seconds;

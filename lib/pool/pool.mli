@@ -5,28 +5,24 @@
     fresh domains per chunk — the seed's approach — pays domain start-up
     cost on every convolution and caps parallelism at one layer.  A pool
     is created once per process, its workers block on a condition
-    variable between jobs, and every [parallel_for]/[map_reduce] call
+    variable between jobs, and every [parallel_for]/[map_array] call
     reuses them.
 
-    {b Determinism contract.}  Two schedules share it.  Under
-    {!Static} partitioning a range [\[lo, hi)] is cut into at most
-    [min size max_domains] contiguous sub-ranges, sub-range [i] is
-    executed exactly once by exactly one domain, and reductions combine
-    sub-range results in ascending range order.  Under {!Dynamic}
-    claiming the range is cut into fixed [grain]-sized claims and idle
-    domains race for the next claim off an atomic counter — {e which}
-    domain runs a claim varies run to run, but {e what} claim [c]
-    covers never does ([lo + c*grain, min hi (lo + (c+1)*grain))), and
-    reductions combine per-claim results in ascending claim order.  A
-    task never observes which domain runs it, so any function whose
-    sub-ranges touch disjoint state produces bit-identical results for
-    every pool size, every [max_domains], and either schedule — the
-    property the differential test suite pins down.  Exceptions raised
-    inside tasks are re-raised exactly once on the calling domain (the
-    lowest-indexed failing sub-range/claim wins; claims are handed out
-    in ascending order, so every claim below an executed one was
-    dispatched and the minimum is well defined — even the error is
-    deterministic).
+    {b Determinism contract.}  A range [\[lo, hi)] is cut into fixed
+    [grain]-sized claims, and up to [min size max_domains] domains race
+    for the next claim off an atomic counter, the way a GPU hands each
+    tile of a grid to whichever SM is free.  {e Which} domain runs a
+    claim varies run to run, but {e what} claim [c] covers never does:
+    [\[lo + c*grain, min hi (lo + (c+1)*grain))], executed exactly once.
+    A task never observes which domain runs it, so any function whose
+    claims touch disjoint state produces bit-identical results for every
+    pool size and every [max_domains] — the property the differential
+    test suite pins down.  {!map_array} returns its results in index
+    order.  Exceptions raised inside tasks are re-raised exactly once on
+    the calling domain, and the lowest failing claim wins: claims are
+    handed out in ascending order, so every claim below an executed one
+    was dispatched and the minimum is well defined — even the error is
+    deterministic.
 
     Nested calls — a task that itself calls into the same pool — run
     their tasks inline on the current domain rather than deadlocking, so
@@ -54,61 +50,28 @@ val shutdown : t -> unit
 (** Join all workers.  Idempotent; subsequent job submissions run
     inline on the calling domain. *)
 
-(** How a range is split across domains. *)
-type schedule =
-  | Static
-      (** One contiguous sub-range per participating domain, fixed up
-          front.  Lowest overhead; right when per-index cost is uniform. *)
-  | Dynamic of { grain : int }
-      (** Work stealing: [grain]-sized claims handed out by an atomic
-          counter, so slow claims no longer stall the whole fan-out.
-          [grain <= 0] means auto (about 4 claims per domain).  Right
-          when per-index cost is skewed or unpredictable. *)
-
-val dynamic : ?grain:int -> unit -> schedule
-(** [dynamic ()] is [Dynamic { grain = 0 }] (auto grain). *)
-
 val parallel_for :
   t ->
   ?max_domains:int ->
-  ?schedule:schedule ->
+  ?grain:int ->
   lo:int ->
   hi:int ->
   (lo:int -> hi:int -> unit) ->
   unit
-(** [parallel_for t ~lo ~hi body] partitions [\[lo, hi)] per [schedule]
-    (default {!Static}) and calls [body ~lo ~hi] once per non-empty
-    sub-range/claim.  [max_domains] caps the participating-domain count
-    (default: pool size).  Empty ranges are a no-op.  The call returns
-    when every sub-range has finished. *)
+(** [parallel_for t ~lo ~hi body] cuts [\[lo, hi)] into [grain]-sized
+    claims and calls [body ~lo ~hi] once per claim, on whichever
+    participating domain claims it.  An omitted [grain], or
+    [grain <= 0], means auto: about 4 claims per domain.  [max_domains]
+    caps the participating-domain count (default: pool size).  Empty
+    ranges are a no-op.  The call returns when every claim has
+    finished. *)
 
-val map_reduce :
-  t ->
-  ?max_domains:int ->
-  ?schedule:schedule ->
-  lo:int ->
-  hi:int ->
-  map:(lo:int -> hi:int -> 'a) ->
-  reduce:('a -> 'a -> 'a) ->
-  'a ->
-  'a
-(** [map_reduce t ~lo ~hi ~map ~reduce init] runs [map] per
-    sub-range/claim in parallel and folds the results {e in ascending
-    range order} (claim order under {!Dynamic}, which is the same
-    ascending [lo] order): [reduce (... (reduce init r0) ...) rk].
-    With an associative exact [reduce] (integer sums, ordered list
-    concatenation) the result is bit-identical for every pool size and
-    schedule; floating-point reductions are deterministic for a fixed
-    split but may differ across splits. *)
-
-val map_array :
-  t -> ?max_domains:int -> ?schedule:schedule -> ('a -> 'b) -> 'a array -> 'b array
-(** [map_array t f items] applies [f] to every element in parallel and
-    returns results in index order.  Element [i]'s result never depends
-    on the split or schedule, so the output is bit-identical for every
-    pool size whenever [f] is deterministic per element — the primitive
-    backing per-image batch sharding.  [~schedule:(Dynamic {grain = 1})]
-    makes it a work queue of single items. *)
+val map_array : t -> ?max_domains:int -> ('a -> 'b) -> 'a array -> 'b array
+(** [map_array t f items] applies [f] to every element in parallel, one
+    element per claim, and returns results in index order.  Element
+    [i]'s result never depends on which domain ran it, so the output is
+    bit-identical for every pool size whenever [f] is deterministic per
+    element — the primitive backing per-image batch sharding. *)
 
 val current_slot : t -> int
 (** The calling domain's worker slot: worker [i] owns slot [i + 1]; the
@@ -121,9 +84,8 @@ val current_slot : t -> int
 type stats = {
   parallel_calls : int;  (** calls that fanned out to workers *)
   inline_calls : int;    (** calls run entirely on the calling domain *)
-  dynamic_calls : int;   (** fan-outs that used dynamic claiming *)
-  claims : int;          (** total claims handed out by dynamic calls *)
-  tasks : int;           (** non-empty sub-ranges executed *)
+  claims : int;          (** total claims handed out *)
+  tasks : int;           (** slot tasks run, one per participating domain *)
   busy_seconds : float;  (** summed task wall-clock across domains *)
   fanout_wall_seconds : float;
       (** coordinator wall-clock spent inside parallel fan-outs *)
@@ -140,8 +102,8 @@ val imbalance : stats -> float
 
 val publish : t -> Ax_obs.Metrics.t -> unit
 (** Export utilization as gauges: [pool_domains], [pool_parallel_calls],
-    [pool_inline_calls], [pool_dynamic_calls], [pool_claims],
-    [pool_tasks], [pool_busy_seconds],
+    [pool_inline_calls], [pool_claims], [pool_tasks],
+    [pool_busy_seconds],
     [pool_fanout_wall_seconds], [pool_imbalance], and per slot [i] the
     [pool_busy_fraction_d<i>] / [pool_idle_fraction_d<i>] pair (busy
     seconds over fan-out wall seconds).  Gauges (not counters) so

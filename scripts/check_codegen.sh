@@ -1,19 +1,20 @@
 #!/bin/sh
-# Codegen gate for the per-MAC, per-tap, per-gate and per-apply modules:
-# without flambda a comparison the type checker could not specialise
-# compiles to a call into OCaml's generic compare, and Stdlib.min/max/
-# compare are such calls too.  This disassembles the native objects of
-# the modules below (members of the given library archives) and fails
-# on any relocation to caml_compare, caml_equal, caml_notequal,
-# caml_lessthan, caml_lessequal, caml_greaterthan, caml_greaterequal or
-# camlStdlib.{min,max,compare}.  It fails, not skips, without objdump,
-# and when a listed module is missing from the archives.
+# Codegen gate for the per-MAC, per-tap, per-gate, per-apply and
+# per-claim modules: without flambda a comparison the type checker could
+# not specialise compiles to a call into OCaml's generic compare, and
+# Stdlib.min/max/compare are such calls too.  This disassembles the
+# native objects of the modules below (members of the given library
+# archives) and fails on any relocation to caml_compare, caml_equal,
+# caml_notequal, caml_lessthan, caml_lessequal, caml_greaterthan,
+# caml_greaterequal or camlStdlib.{min,max,compare}.  It fails, not
+# skips, without objdump, and when a listed module is missing from the
+# archives.
 #
 # Usage: scripts/check_codegen.sh ARCHIVE.a...
 set -eu
 
 modules="Axconv Im2col Depthwise Conv_direct Accumulator Quantization Round
-Signedness Lut Bdd Sim Power Circuit"
+Signedness Lut Bdd Sim Power Circuit Pool"
 
 if ! command -v objdump >/dev/null 2>&1; then
   echo "check_codegen: objdump not found; the codegen gate cannot run" >&2

@@ -50,6 +50,27 @@ let test_duplicate_output_rejected () =
     (Invalid_argument "Circuit.output: duplicate label y") (fun () ->
       Circuit.output c "y" a)
 
+(* A signal from another circuit must be refused by every constructor,
+   [buf_] and [output] included, not accepted and left for a simulator
+   to trip over. *)
+let test_foreign_signal_rejected () =
+  let big = Circuit.create () in
+  let ins = List.init 6 (fun i -> Circuit.input big (Printf.sprintf "x%d" i)) in
+  let foreign = List.nth ins 5 in
+  let c = Circuit.create () in
+  let a = Circuit.input c "a" in
+  let rejects what f =
+    match f () with
+    | () -> Alcotest.failf "%s accepted a foreign signal" what
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "buf_" (fun () -> ignore (Circuit.buf_ c foreign));
+  rejects "not_" (fun () -> ignore (Circuit.not_ c foreign));
+  rejects "and_" (fun () -> ignore (Circuit.and_ c a foreign));
+  rejects "output" (fun () -> Circuit.output c "y" foreign);
+  check_int "nothing registered" 0 (Circuit.output_count c);
+  check_int "nothing appended" 1 (Circuit.node_count c)
+
 let test_levelize () =
   let c = Circuit.create () in
   let a = Circuit.input c "a" and b = Circuit.input c "b" in
@@ -839,6 +860,8 @@ let () =
           Alcotest.test_case "constant folding" `Quick test_constant_folding;
           Alcotest.test_case "duplicate output rejected" `Quick
             test_duplicate_output_rejected;
+          Alcotest.test_case "foreign signal rejected" `Quick
+            test_foreign_signal_rejected;
           Alcotest.test_case "levelize" `Quick test_levelize;
         ] );
       ( "sim",

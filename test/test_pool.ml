@@ -2,17 +2,18 @@
 
    - [Ax_pool.Pool] primitives: exact range coverage for any pool size
      and [max_domains] (including empty ranges and ranges smaller than
-     the pool), ascending reduction order, exceptions re-raised exactly
-     once with the pool still usable afterwards;
+     the pool), [map_array] results in index order, exceptions re-raised
+     exactly once with the pool still usable afterwards;
    - bit-identical results across domain counts for [Axconv.conv] and
      for the per-image sharded [Emulator.run]/[Emulator.accuracy],
      including the merged LUT/MAC counters;
    - per-chunk metric accounting: a 3-chunk batch reports exactly the
      summed counters and chunk-timing observations, whatever the row
      split;
-   - dynamic claiming: exactly-once coverage, grain alignment,
-     bit-identity with static partitioning, deterministic exceptions and
-     claim stats under adversarially skewed chunk costs.
+   - range claiming, the pool's one schedule: exactly-once coverage,
+     grain alignment, claim ranges equal to the sequential reference,
+     deterministic exceptions and claim stats under adversarially skewed
+     chunk costs.
 
    The CI matrix exports TFAPPROX_DOMAINS=4; the suite folds that value
    into the domain counts under test. *)
@@ -47,6 +48,13 @@ let domain_counts =
   List.sort_uniq compare (base @ env)
 
 (* --- pool primitives --- *)
+
+let spin () =
+  let acc = ref 0 in
+  for i = 1 to 100_000 do
+    acc := !acc + i
+  done;
+  ignore !acc
 
 let test_create_validation () =
   List.iter
@@ -91,41 +99,22 @@ let test_rows_fewer_than_workers () =
           done);
       Alcotest.(check (array int)) "3 rows on 8 workers" [| 1; 1; 1 |] hits)
 
+(* The body runs once per claim, so the cap shows as the set of slots
+   that ran claims, not as a call count. *)
 let test_max_domains_caps_split () =
   Pool.with_pool ~domains:4 (fun p ->
-      let splits = Atomic.make 0 in
-      Pool.parallel_for p ~max_domains:2 ~lo:0 ~hi:100 (fun ~lo:_ ~hi:_ ->
-          Atomic.incr splits);
-      check_bool "at most 2 sub-ranges" true (Atomic.get splits <= 2))
-
-let test_map_reduce_ascending_order () =
-  List.iter
-    (fun domains ->
-      Pool.with_pool ~domains (fun p ->
-          (* Ordered concatenation is order-sensitive, so this fails if
-             sub-results are folded in completion order. *)
-          let ranges =
-            Pool.map_reduce p ~lo:0 ~hi:17
-              ~map:(fun ~lo ~hi -> [ (lo, hi) ])
-              ~reduce:(fun a b -> a @ b)
-              []
-          in
-          let flat = List.concat_map (fun (lo, hi) -> List.init (hi - lo) (fun i -> lo + i)) ranges in
-          Alcotest.(check (list int))
-            (Printf.sprintf "domains=%d ascending" domains)
-            (List.init 17 Fun.id) flat;
-          let sum =
-            Pool.map_reduce p ~lo:1 ~hi:101
-              ~map:(fun ~lo ~hi ->
-                let s = ref 0 in
-                for i = lo to hi - 1 do
-                  s := !s + i
-                done;
-                !s)
-              ~reduce:( + ) 0
-          in
-          check_int (Printf.sprintf "domains=%d sum" domains) 5050 sum))
-    domain_counts
+      let ran = Array.init 4 (fun _ -> Atomic.make false) in
+      Pool.parallel_for p ~max_domains:2 ~grain:1 ~lo:0 ~hi:100
+        (fun ~lo:_ ~hi:_ ->
+          Atomic.set ran.(Pool.current_slot p) true;
+          spin ());
+      let slots =
+        Array.fold_left (fun n r -> n + Bool.to_int (Atomic.get r)) 0 ran
+      in
+      check_bool
+        (Printf.sprintf "at most 2 slots ran claims (%d)" slots)
+        true
+        (slots >= 1 && slots <= 2))
 
 let test_map_array_preserves_order () =
   List.iter
@@ -150,21 +139,15 @@ let test_worker_exception_reraised_once () =
              if lo >= 10 then raise (Boom lo))
        with Boom _ -> incr raised);
       check_int "re-raised exactly once" 1 !raised;
-      (* The lowest failing sub-range wins, so the payload is
-         deterministic across pool sizes and timings. *)
+      (* The lowest failing claim wins, so the payload is deterministic
+         across pool sizes and timings. *)
       (try
          Pool.parallel_for p ~lo:0 ~hi:40 (fun ~lo ~hi:_ -> raise (Boom lo))
-       with Boom lo -> check_int "lowest sub-range wins" 0 lo);
+       with Boom lo -> check_int "lowest claim wins" 0 lo);
       (* The pool survives the failure. *)
       let sum =
-        Pool.map_reduce p ~lo:0 ~hi:10
-          ~map:(fun ~lo ~hi ->
-            let s = ref 0 in
-            for i = lo to hi - 1 do
-              s := !s + i
-            done;
-            !s)
-          ~reduce:( + ) 0
+        Array.fold_left ( + ) 0
+          (Pool.map_array p Fun.id (Array.init 10 Fun.id))
       in
       check_int "pool reusable after exception" 45 sum)
 
@@ -207,10 +190,7 @@ let test_concurrent_coordinators () =
         for round = 1 to 50 do
           let n = 32 + seed in
           let out =
-            Pool.map_array p
-              ~schedule:(Pool.Dynamic { grain = 1 })
-              (fun i -> (i * seed) + round)
-              (Array.init n Fun.id)
+            Pool.map_array p (fun i -> (i * seed) + round) (Array.init n Fun.id)
           in
           if Array.length out <> n then Atomic.incr errors
           else
@@ -242,13 +222,6 @@ let test_stats_and_publish () =
       check_bool "pool_tasks gauge" true
         (Metrics.find_gauge snap "pool_tasks" <> None))
 
-let spin () =
-  let acc = ref 0 in
-  for i = 1 to 100_000 do
-    acc := !acc + i
-  done;
-  ignore !acc
-
 let test_per_domain_stats_and_imbalance () =
   Pool.with_pool ~domains:3 (fun p ->
       Pool.parallel_for p ~lo:0 ~hi:300 (fun ~lo ~hi ->
@@ -265,11 +238,6 @@ let test_per_domain_stats_and_imbalance () =
            (Array.fold_left ( +. ) 0. s.Pool.per_domain_busy_seconds
            -. s.Pool.busy_seconds)
         < 1e-9);
-      (* Every slot ran a sub-range of this even split. *)
-      Array.iteri
-        (fun i b ->
-          check_bool (Printf.sprintf "slot %d busy" i) true (b > 0.))
-        s.Pool.per_domain_busy_seconds;
       let imb = Pool.imbalance s in
       check_bool
         (Printf.sprintf "imbalance %.3f in [0,1)" imb)
@@ -394,10 +362,10 @@ let test_traced_sharded_deterministic () =
         (tids <> [] && List.for_all (fun t -> t >= 0 && t < domains) tids))
     (List.filter (fun d -> d <= 4) domain_counts)
 
-(* --- dynamic claiming --- *)
+(* --- range claiming --- *)
 
-(* Exactly-once coverage is schedule-independent: under work stealing
-   every index is still visited once, whatever the grain, pool size or
+(* Exactly-once coverage under claiming: every index is visited once,
+   whatever the grain (0 = auto, the default), pool size or
    claim/domain interleaving. *)
 let prop_dynamic_coverage =
   QCheck.Test.make ~count:60
@@ -409,8 +377,7 @@ let prop_dynamic_coverage =
       Pool.with_pool ~domains (fun p ->
           let hi = lo + len in
           let hits = Array.init (max len 1) (fun _ -> Atomic.make 0) in
-          Pool.parallel_for p ~schedule:(Pool.Dynamic { grain }) ~lo ~hi
-            (fun ~lo:slo ~hi:shi ->
+          Pool.parallel_for p ~grain ~lo ~hi (fun ~lo:slo ~hi:shi ->
               for i = slo to shi - 1 do
                 Atomic.incr hits.(i - lo)
               done);
@@ -428,8 +395,7 @@ let prop_dynamic_grain_alignment =
     (fun (domains, len, grain) ->
       Pool.with_pool ~domains (fun p ->
           let ok = Atomic.make true in
-          Pool.parallel_for p ~schedule:(Pool.Dynamic { grain }) ~lo:3
-            ~hi:(3 + len) (fun ~lo ~hi ->
+          Pool.parallel_for p ~grain ~lo:3 ~hi:(3 + len) (fun ~lo ~hi ->
               if
                 (lo - 3) mod grain <> 0
                 || hi - lo > grain
@@ -438,88 +404,71 @@ let prop_dynamic_grain_alignment =
               then Atomic.set ok false);
           Atomic.get ok))
 
-(* Ordered-concatenation map_reduce is the strongest determinism probe:
-   any fold in completion order (rather than claim order) scrambles the
-   list.  Static and dynamic must agree exactly, for every domain count
-   and grain. *)
-let test_dynamic_matches_static () =
-  let run p schedule =
-    Pool.map_reduce p ~schedule ~lo:0 ~hi:37
-      ~map:(fun ~lo ~hi -> [ (lo, hi) ])
-      ~reduce:(fun a b -> a @ b)
-      []
-  in
+(* Claim path = sequential reference: each claim records its range in
+   its own cell, and the cells read back in claim order must be exactly
+   the sequential cut [c*g, min n ((c+1)*g)) of the range — ascending,
+   contiguous, every index once, one body call per claim. *)
+let test_claim_ranges_match_reference () =
+  let n = 37 in
   List.iter
     (fun domains ->
       Pool.with_pool ~domains (fun p ->
-          let static = run p Pool.Static in
-          let flat =
-            List.concat_map
-              (fun (lo, hi) -> List.init (hi - lo) (fun i -> lo + i))
-              static
-          in
-          Alcotest.(check (list int))
-            (Printf.sprintf "domains=%d static ascending" domains)
-            (List.init 37 Fun.id) flat;
           List.iter
             (fun grain ->
-              let dyn = run p (Pool.Dynamic { grain }) in
-              let flat' =
-                List.concat_map
-                  (fun (lo, hi) -> List.init (hi - lo) (fun i -> lo + i))
-                  dyn
+              let tag = Printf.sprintf "domains=%d grain=%d" domains grain in
+              let before = (Pool.stats p).Pool.claims in
+              let calls = Atomic.make 0 in
+              let his = Array.make n (-1) in
+              Pool.parallel_for p ~grain ~lo:0 ~hi:n (fun ~lo ~hi ->
+                  Atomic.incr calls;
+                  his.(lo) <- hi);
+              let claims = (Pool.stats p).Pool.claims - before in
+              check_int (tag ^ " one body call per claim") claims
+                (Atomic.get calls);
+              (* Claim 0 starts at 0 and its length is the resolved grain. *)
+              let g = his.(0) in
+              if grain > 0 then
+                check_int (tag ^ " resolved grain") (Int.min grain n) g;
+              let by_claim =
+                List.filter_map
+                  (fun lo -> if his.(lo) < 0 then None else Some (lo, his.(lo)))
+                  (List.init n Fun.id)
               in
-              Alcotest.(check (list int))
-                (Printf.sprintf "domains=%d grain=%d dynamic ascending"
-                   domains grain)
-                (List.init 37 Fun.id) flat')
-            [ 0; 1; 2; 5; 100 ];
-          (* Exact integer reduction agrees bit-for-bit. *)
-          let sum schedule =
-            Pool.map_reduce p ~schedule ~lo:1 ~hi:101
-              ~map:(fun ~lo ~hi ->
-                let s = ref 0 in
-                for i = lo to hi - 1 do
-                  s := !s + i
-                done;
-                !s)
-              ~reduce:( + ) 0
-          in
-          check_int
-            (Printf.sprintf "domains=%d dynamic sum" domains)
-            (sum Pool.Static)
-            (sum (Pool.dynamic ()))))
+              Alcotest.(check (list (pair int int)))
+                (tag ^ " claims = sequential cut")
+                (List.init claims (fun c -> (c * g, Int.min n ((c + 1) * g))))
+                by_claim)
+            [ 0; 1; 2; 5; 100 ]))
     [ 1; 2; 4 ]
 
-(* Adversarially skewed chunk costs: index i spins i times, so a static
-   split gives the last domain almost all the work while dynamic
-   claiming rebalances.  Whatever the timing, results stay identical. *)
+(* Adversarially skewed chunk costs: index i spins i*i times, so the
+   last claims carry almost all the work while the rest rebalance.
+   Whatever the timing, the claimed sum equals the serial sum. *)
 let test_dynamic_skewed_costs () =
-  let weighted_sum p schedule =
-    Pool.map_reduce p ~schedule ~lo:0 ~hi:64
-      ~map:(fun ~lo ~hi ->
-        let s = ref 0 in
-        for i = lo to hi - 1 do
-          (* Cost grows quadratically with the index. *)
-          for _ = 1 to i * i do
-            ignore (Sys.opaque_identity i)
-          done;
-          s := !s + (i * i)
-        done;
-        !s)
-      ~reduce:( + ) 0
-  in
+  let n = 64 in
+  let serial = ref 0 in
+  for i = 0 to n - 1 do
+    serial := !serial + (i * i)
+  done;
   List.iter
     (fun domains ->
       Pool.with_pool ~domains (fun p ->
-          let want = weighted_sum p Pool.Static in
           List.iter
             (fun grain ->
+              let total = Atomic.make 0 in
+              Pool.parallel_for p ~grain ~lo:0 ~hi:n (fun ~lo ~hi ->
+                  let s = ref 0 in
+                  for i = lo to hi - 1 do
+                    for _ = 1 to i * i do
+                      ignore (Sys.opaque_identity i)
+                    done;
+                    s := !s + (i * i)
+                  done;
+                  ignore (Atomic.fetch_and_add total !s));
               check_int
                 (Printf.sprintf "domains=%d grain=%d skewed" domains grain)
-                want
-                (weighted_sum p (Pool.Dynamic { grain })))
-            [ 1; 3; 16 ]))
+                !serial (Atomic.get total))
+            [ 0; 1; 3; 16 ]))
     [ 1; 2; 4 ]
 
 let test_dynamic_exception_deterministic () =
@@ -528,8 +477,8 @@ let test_dynamic_exception_deterministic () =
          failing claim — and with it the payload — is pinned. *)
       let raised = ref 0 in
       (try
-         Pool.parallel_for p ~schedule:(Pool.Dynamic { grain = 3 }) ~lo:0
-           ~hi:40 (fun ~lo ~hi:_ -> raise (Boom lo))
+         Pool.parallel_for p ~grain:3 ~lo:0 ~hi:40 (fun ~lo ~hi:_ ->
+             raise (Boom lo))
        with Boom lo ->
          incr raised;
          check_int "lowest claim wins" 0 lo);
@@ -538,66 +487,67 @@ let test_dynamic_exception_deterministic () =
          so the first claim whose range crosses the threshold is always
          dispatched before any later one — Boom 12 is deterministic. *)
       (try
-         Pool.parallel_for p ~schedule:(Pool.Dynamic { grain = 3 }) ~lo:0
-           ~hi:40 (fun ~lo ~hi:_ -> if lo >= 10 then raise (Boom lo))
+         Pool.parallel_for p ~grain:3 ~lo:0 ~hi:40 (fun ~lo ~hi:_ ->
+             if lo >= 10 then raise (Boom lo))
        with Boom lo -> check_int "lowest failing claim wins" 12 lo);
-      (* The pool survives and later dynamic calls still cover fully. *)
+      (* The pool survives and later calls still cover fully. *)
       let hits = Array.init 20 (fun _ -> Atomic.make 0) in
-      Pool.parallel_for p ~schedule:(Pool.dynamic ()) ~lo:0 ~hi:20
-        (fun ~lo ~hi ->
+      Pool.parallel_for p ~lo:0 ~hi:20 (fun ~lo ~hi ->
           for i = lo to hi - 1 do
             Atomic.incr hits.(i)
           done);
-      check_bool "pool reusable after dynamic failure" true
+      check_bool "pool reusable after failure" true
         (Array.for_all (fun c -> Atomic.get c = 1) hits))
 
+(* [map_array] claims one element at a time: results come back in index
+   order even when early elements are the slow ones, the claim count is
+   the item count, and the lowest failing index is re-raised once. *)
 let test_dynamic_map_array_order () =
   List.iter
     (fun domains ->
       Pool.with_pool ~domains (fun p ->
-          let items = Array.init 23 (fun i -> i) in
+          let n = 23 in
+          let items = Array.init n Fun.id in
+          let before = (Pool.stats p).Pool.claims in
           let out =
-            Pool.map_array p ~schedule:(Pool.Dynamic { grain = 1 })
-              (fun i -> (i * i) + 1)
+            Pool.map_array p
+              (fun i ->
+                for _ = 1 to (n - i) * (n - i) * 100 do
+                  ignore (Sys.opaque_identity i)
+                done;
+                (i * i) + 1)
               items
           in
+          let tag = Printf.sprintf "domains=%d" domains in
           Alcotest.(check (array int))
-            (Printf.sprintf "domains=%d dynamic map_array" domains)
+            (tag ^ " index order")
             (Array.map (fun i -> (i * i) + 1) items)
-            out))
+            out;
+          check_int (tag ^ " one claim per item") n
+            ((Pool.stats p).Pool.claims - before);
+          let raised = ref 0 in
+          (try
+             ignore
+               (Pool.map_array p
+                  (fun i -> if i >= 5 then raise (Boom i) else i)
+                  items)
+           with Boom i ->
+             incr raised;
+             check_int (tag ^ " lowest failing index") 5 i);
+          check_int (tag ^ " re-raised once") 1 !raised))
     [ 1; 2; 4 ]
 
 let test_dynamic_stats () =
   Pool.with_pool ~domains:2 (fun p ->
       let before = Pool.stats p in
-      Pool.parallel_for p ~schedule:(Pool.Dynamic { grain = 5 }) ~lo:0
-        ~hi:40 (fun ~lo:_ ~hi:_ -> ());
+      Pool.parallel_for p ~grain:5 ~lo:0 ~hi:40 (fun ~lo:_ ~hi:_ -> ());
       let s = Pool.stats p in
-      check_int "one dynamic call" 1
-        (s.Pool.dynamic_calls - before.Pool.dynamic_calls);
       check_int "ceil(40/5) claims" 8 (s.Pool.claims - before.Pool.claims);
       let m = Metrics.create () in
       Pool.publish p m;
       let snap = Metrics.snapshot m in
-      check_bool "pool_dynamic_calls gauge" true
-        (Metrics.find_gauge snap "pool_dynamic_calls" <> None);
       check_bool "pool_claims gauge" true
         (Metrics.find_gauge snap "pool_claims" <> None))
-
-(* qcheck fuzz: coverage holds for arbitrary range/width combinations. *)
-let prop_coverage =
-  QCheck.Test.make ~count:60 ~name:"parallel_for covers any range"
-    QCheck.(triple (int_range 1 8) (int_range (-20) 20) (int_range 0 50))
-    (fun (domains, lo, len) ->
-      Pool.with_pool ~domains (fun p ->
-          let hi = lo + len in
-          let hits = Array.make (max len 1) 0 in
-          Pool.parallel_for p ~lo ~hi (fun ~lo:slo ~hi:shi ->
-              for i = slo to shi - 1 do
-                hits.(i - lo) <- hits.(i - lo) + 1
-              done);
-          Array.for_all (fun c -> c = 1) (Array.sub hits 0 len)
-          || len = 0))
 
 (* --- bit-identical convolution across domain counts --- *)
 
@@ -712,7 +662,7 @@ let test_three_chunk_accounting () =
 let qsuite =
   List.map
     (QCheck_alcotest.to_alcotest ~long:false)
-    [ prop_coverage; prop_dynamic_coverage; prop_dynamic_grain_alignment ]
+    [ prop_dynamic_coverage; prop_dynamic_grain_alignment ]
 
 let () =
   Alcotest.run "tfapprox_pool"
@@ -726,8 +676,6 @@ let () =
             test_rows_fewer_than_workers;
           Alcotest.test_case "max_domains cap" `Quick
             test_max_domains_caps_split;
-          Alcotest.test_case "map_reduce ascending" `Quick
-            test_map_reduce_ascending_order;
           Alcotest.test_case "map_array order" `Quick
             test_map_array_preserves_order;
           Alcotest.test_case "exception re-raised once" `Quick
@@ -746,8 +694,8 @@ let () =
         ] );
       ( "dynamic",
         [
-          Alcotest.test_case "matches static partitioning" `Quick
-            test_dynamic_matches_static;
+          Alcotest.test_case "claims match sequential reference" `Quick
+            test_claim_ranges_match_reference;
           Alcotest.test_case "skewed chunk costs" `Quick
             test_dynamic_skewed_costs;
           Alcotest.test_case "deterministic exception" `Quick
