@@ -342,29 +342,6 @@ let lut_cmd =
   Cmd.v (Cmd.info "lut" ~doc:"Tabulate a multiplier into a 128 kB LUT file")
     Term.(const run $ mult_name $ output $ quiet_term)
 
-let search_cmd =
-  let run max_mae =
-    guarded @@ fun () ->
-    let trajectory = Ax_arith.Search.greedy_prune ~max_mae () in
-    Format.printf "%-8s %10s %8s %10s@." "kept" "MAE" "WCE" "area proxy";
-    List.iter
-      (fun c ->
-        Format.printf "%-8d %10.2f %8d %10.0f@." c.Ax_arith.Search.kept
-          c.Ax_arith.Search.metrics.Ax_arith.Error_metrics.mae
-          c.Ax_arith.Search.metrics.Ax_arith.Error_metrics.wce
-          c.Ax_arith.Search.area_proxy)
-      trajectory
-  in
-  let max_mae =
-    Arg.(
-      value & opt float 1000.
-      & info [ "max-mae" ] ~doc:"Stop when MAE would exceed this bound.")
-  in
-  Cmd.v
-    (Cmd.info "search"
-       ~doc:"Greedy partial-product pruning over the 8x8 design space")
-    Term.(const run $ max_mae)
-
 let model_cmd =
   let run depth multiplier output quiet =
     apply_quiet quiet;
@@ -1307,6 +1284,6 @@ let () =
        (Cmd.group info
           [
             table1_cmd; fig2_cmd; sweep_cmd; multipliers_cmd; verilog_cmd;
-            lut_cmd; search_cmd; explore_cmd; model_cmd; analyze_cmd;
+            lut_cmd; explore_cmd; model_cmd; analyze_cmd;
             trace_cmd; check_cmd; resilience_cmd; serve_cmd; client_cmd;
           ]))

@@ -1,8 +1,6 @@
 module Graph = Ax_nn.Graph
 module Shape = Ax_tensor.Shape
 module Filter = Ax_nn.Filter
-module Conv_spec = Ax_nn.Conv_spec
-module Depthwise = Ax_nn.Depthwise
 module D = Diagnostic
 
 type kind = Tensor | Scalar
@@ -267,15 +265,17 @@ let check ?input g =
   | Some input_shape ->
     (* [shapes.(i)] is the inferred tensor shape (None for scalars);
        [valid.(i)] false poisons consumers so one defect is reported
-       once, at its source. *)
+       once, at its source.  The shape rule itself is
+       [Graph.node_shape]; its [Invalid_argument] message is the
+       finding. *)
     let shapes : Shape.t option array = Array.make n None in
+    let shape_of id = shapes.(id) in
     let valid = Array.make n false in
-    let bias_check node ~len = function
-      | Some b when Array.length b <> len ->
+    let bias_check node ~len ~what b =
+      if Array.length b <> len then
         emit ~rule:"graph/bias-arity" ~location:(loc node)
-          (Printf.sprintf "bias has %d entries for %d output channels"
-             (Array.length b) len)
-      | Some _ | None -> ()
+          (Printf.sprintf "bias has %d entries for %d %s" (Array.length b)
+             len what)
     in
     Array.iteri
       (fun i node ->
@@ -283,100 +283,30 @@ let check ?input g =
           structurally_ok.(i) && kinds_ok.(i)
           && List.for_all (fun s -> valid.(s)) node.Graph.inputs
         then begin
-          let data_shape () =
-            match shapes.(List.nth node.Graph.inputs 0) with
-            | Some s -> s
-            | None -> invalid_arg "scalar where a tensor is required"
-          in
-          let infer () =
-            match node.Graph.op with
-            | Graph.Input -> Some input_shape
-            | Graph.Const_scalar _ | Graph.Min_reduce | Graph.Max_reduce ->
-              None
-            | Graph.Conv2d { filter; bias; spec } ->
-              bias_check node ~len:(Filter.out_c filter) bias;
-              Some (Conv_spec.output_shape spec (data_shape ()) filter)
-            | Graph.Ax_conv2d { filter; bias; spec; _ } ->
-              bias_check node ~len:(Filter.out_c filter) bias;
-              Some (Conv_spec.output_shape spec (data_shape ()) filter)
-            | Graph.Depthwise_conv2d { filter; bias; spec }
-            | Graph.Ax_depthwise_conv2d { filter; bias; spec; _ } ->
-              bias_check node ~len:(Filter.in_c filter * Filter.out_c filter)
-                bias;
-              Some (Depthwise.output_shape ~spec (data_shape ()) filter)
-            | Graph.Relu | Graph.Softmax -> Some (data_shape ())
-            | Graph.Batch_norm { scale; shift } ->
-              let s = data_shape () in
-              if
-                Array.length scale <> Shape.(s.c)
-                || Array.length shift <> Shape.(s.c)
-              then
-                invalid_arg
-                  (Printf.sprintf
-                     "batch-norm parameters have %d/%d entries for %d \
-                      channels"
-                     (Array.length scale) (Array.length shift) Shape.(s.c));
-              Some s
-            | Graph.Max_pool { size; stride } ->
-              let s = data_shape () in
-              if size <= 0 || stride <= 0 then
-                invalid_arg "pool size and stride must be positive";
-              if Shape.(s.h) < size || Shape.(s.w) < size then
-                invalid_arg
-                  (Printf.sprintf "%dx%d window over %dx%d input" size size
-                     Shape.(s.h) Shape.(s.w));
-              Some
-                (Shape.make ~n:Shape.(s.n)
-                   ~h:(((Shape.(s.h) - size) / stride) + 1)
-                   ~w:(((Shape.(s.w) - size) / stride) + 1)
-                   ~c:Shape.(s.c))
-            | Graph.Global_avg_pool ->
-              let s = data_shape () in
-              Some (Shape.make ~n:Shape.(s.n) ~h:1 ~w:1 ~c:Shape.(s.c))
-            | Graph.Dense { weights; bias } ->
-              let s = data_shape () in
-              let features = Shape.(s.h) * Shape.(s.w) * Shape.(s.c) in
-              if weights.Ax_tensor.Matrix.rows <> features then
-                invalid_arg
-                  (Printf.sprintf "%d features but weights have %d rows"
-                     features weights.Ax_tensor.Matrix.rows);
-              if Array.length bias <> weights.Ax_tensor.Matrix.cols then
-                emit ~rule:"graph/bias-arity" ~location:(loc node)
-                  (Printf.sprintf "bias has %d entries for %d outputs"
-                     (Array.length bias) weights.Ax_tensor.Matrix.cols);
-              Some
-                (Shape.make ~n:Shape.(s.n) ~h:1 ~w:1
-                   ~c:weights.Ax_tensor.Matrix.cols)
-            | Graph.Add ->
-              let a = data_shape () in
-              let b =
-                match shapes.(List.nth node.Graph.inputs 1) with
-                | Some s -> s
-                | None -> invalid_arg "scalar where a tensor is required"
-              in
-              if not (Shape.equal a b) then
-                invalid_arg
-                  (Printf.sprintf "residual join of %s with %s"
-                     (Shape.to_string a) (Shape.to_string b));
-              Some a
-            | Graph.Shortcut_pad { stride; out_c } ->
-              let s = data_shape () in
-              if stride <= 0 then invalid_arg "shortcut stride must be positive";
-              if out_c < Shape.(s.c) then
-                invalid_arg
-                  (Printf.sprintf "shortcut cannot shrink %d channels to %d"
-                     Shape.(s.c) out_c);
-              Some
-                (Shape.make ~n:Shape.(s.n)
-                   ~h:((Shape.(s.h) + stride - 1) / stride)
-                   ~w:((Shape.(s.w) + stride - 1) / stride)
-                   ~c:out_c)
-          in
-          match infer () with
+          (match node.Graph.op with
+          | Graph.Conv2d { filter; bias = Some b; _ }
+          | Graph.Ax_conv2d { filter; bias = Some b; _ } ->
+            bias_check node ~len:(Filter.out_c filter) ~what:"output channels" b
+          | Graph.Depthwise_conv2d { filter; bias = Some b; _ }
+          | Graph.Ax_depthwise_conv2d { filter; bias = Some b; _ } ->
+            bias_check node
+              ~len:(Filter.in_c filter * Filter.out_c filter)
+              ~what:"output channels" b
+          | Graph.Dense { weights; bias } ->
+            bias_check node ~len:weights.Ax_tensor.Matrix.cols ~what:"outputs"
+              bias
+          | Graph.Input | Graph.Conv2d _ | Graph.Ax_conv2d _
+          | Graph.Depthwise_conv2d _ | Graph.Ax_depthwise_conv2d _
+          | Graph.Min_reduce | Graph.Max_reduce | Graph.Const_scalar _
+          | Graph.Relu | Graph.Max_pool _ | Graph.Global_avg_pool
+          | Graph.Batch_norm _ | Graph.Add | Graph.Softmax
+          | Graph.Shortcut_pad _ ->
+            ());
+          match Graph.node_shape ~input:input_shape shape_of node with
           | s ->
             shapes.(i) <- s;
             valid.(i) <- true
-          | exception (Invalid_argument m | Failure m) ->
+          | exception Invalid_argument m ->
             emit ~rule:"graph/shape-mismatch" ~location:(loc node) m
         end)
       nodes);

@@ -5,10 +5,10 @@
     - {b structure} — arity, unknown/forward input references, missing
       or duplicated Input placeholders, nodes unreachable from the
       output, scalar-valued graph outputs;
-    - {b shapes} — full shape-and-channel inference (reusing
-      {!Ax_nn.Conv_spec.output_shape} / {!Ax_nn.Depthwise.output_shape})
-      plus parameter-arity checks (bias lengths, batch-norm vectors,
-      dense weight rows, pool windows, residual joins);
+    - {b shapes} — full shape-and-channel inference by
+      {!Ax_nn.Graph.node_shape}, the rule every shape reader uses
+      (batch-norm vectors, dense weight rows, pool windows, residual
+      joins, shortcut channels), plus bias-length checks;
     - {b Fig. 1 wiring} — every [Ax_conv2d] / [Ax_depthwise_conv2d]
       scalar input is traced back to a [Min_reduce] / [Max_reduce] over
       the convolution's own data tensor (or an explicit constant), the

@@ -29,7 +29,7 @@ val all : unit -> entry list
     multiplication. *)
 
 val register : entry -> unit
-(** Add a user-defined multiplier (e.g. a {!Search} finalist) to the
+(** Add a user-defined multiplier (e.g. an explored netlist) to the
     catalogue, making it addressable by name everywhere a registry name
     is accepted.  Raises [Invalid_argument] on a duplicate name. *)
 

@@ -157,8 +157,3 @@ let valid g =
     && List.length (List.sort_uniq String.compare labels) = List.length labels
   in
   genes_ok && outputs_ok && inputs = g.width_a + g.width_b
-
-let gate_gene_count g =
-  Array.fold_left
-    (fun acc gene -> match gene with Gate _ -> acc + 1 | _ -> acc)
-    0 g.genes

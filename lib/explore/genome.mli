@@ -56,6 +56,3 @@ val valid : t -> bool
     rely on: gate fan-ins strictly below their gene, output indices in
     range with pairwise-distinct labels, input genes matching
     [width_a + width_b] in count. *)
-
-val gate_gene_count : t -> int
-(** Number of [Gate] genes (mutation targets). *)

@@ -29,7 +29,7 @@ let workload ?(label = "conv") ~input ~filter ~spec ~images () =
   }
 
 let workloads_of_graph g ~input ~images =
-  let shapes = Array.of_list (List.map snd (Graph.infer_shapes g ~input)) in
+  let shapes = Graph.infer_shapes g ~input in
   List.filter_map
     (fun n ->
       match n.Graph.op with

@@ -1,4 +1,3 @@
-module Shape = Ax_tensor.Shape
 module Tensor = Ax_tensor.Tensor
 module Range = Ax_quant.Range
 
@@ -164,58 +163,7 @@ let run_value ?profile ?strategy ?scratch ?tap g ~input =
 let run ?profile ?strategy ?scratch ?tap g ~input =
   tensor_of (run_value ?profile ?strategy ?scratch ?tap g ~input)
 
-(* Shape-only interpreter: the same per-op output-shape rules the
-   executor realises (and Ax_analysis checks), minus the arithmetic —
-   what lets [Emulator.run] answer an empty batch without inventing a
-   dummy inference.  Scalar-valued nodes infer to [None]. *)
 let output_shape g ~input =
-  let shapes : Shape.t option array = Array.make (Graph.size g) None in
-  let tensor_shape id =
-    match shapes.(id) with
-    | Some s -> s
-    | None ->
-      invalid_arg "Exec.output_shape: scalar where a tensor is required"
-  in
-  Array.iter
-    (fun node ->
-      let data () = tensor_shape (List.nth node.Graph.inputs 0) in
-      let inferred =
-        match node.Graph.op with
-        | Graph.Input -> Some input
-        | Graph.Const_scalar _ | Graph.Min_reduce | Graph.Max_reduce -> None
-        | Graph.Conv2d { filter; spec; _ } | Graph.Ax_conv2d { filter; spec; _ }
-          ->
-          Some (Conv_spec.output_shape spec (data ()) filter)
-        | Graph.Depthwise_conv2d { filter; spec; _ }
-        | Graph.Ax_depthwise_conv2d { filter; spec; _ } ->
-          Some (Depthwise.output_shape ~spec (data ()) filter)
-        | Graph.Relu | Graph.Softmax | Graph.Batch_norm _ | Graph.Add ->
-          Some (data ())
-        | Graph.Max_pool { size; stride } ->
-          let s = data () in
-          Some
-            (Shape.make ~n:Shape.(s.n)
-               ~h:(((Shape.(s.h) - size) / stride) + 1)
-               ~w:(((Shape.(s.w) - size) / stride) + 1)
-               ~c:Shape.(s.c))
-        | Graph.Global_avg_pool ->
-          let s = data () in
-          Some (Shape.make ~n:Shape.(s.n) ~h:1 ~w:1 ~c:Shape.(s.c))
-        | Graph.Dense { weights; _ } ->
-          let s = data () in
-          Some
-            (Shape.make ~n:Shape.(s.n) ~h:1 ~w:1
-               ~c:weights.Ax_tensor.Matrix.cols)
-        | Graph.Shortcut_pad { stride; out_c } ->
-          let s = data () in
-          Some
-            (Shape.make ~n:Shape.(s.n)
-               ~h:((Shape.(s.h) + stride - 1) / stride)
-               ~w:((Shape.(s.w) + stride - 1) / stride)
-               ~c:out_c)
-      in
-      shapes.(node.Graph.id) <- inferred)
-    (Graph.nodes g);
-  match shapes.(Graph.output g) with
+  match (Graph.infer_shapes g ~input).(Graph.output g) with
   | Some s -> s
   | None -> invalid_arg "Exec.output_shape: graph output is scalar-valued"

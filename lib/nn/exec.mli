@@ -61,9 +61,9 @@ val run_all :
 
 val output_shape :
   Graph.t -> input:Ax_tensor.Shape.t -> Ax_tensor.Shape.t
-(** The shape {!run} would return for a batch of the given input shape,
-    computed without running any arithmetic — the same per-op rules the
-    executor realises.  This is how {!Ax_core.Emulator} shapes the
+(** The shape {!run} would return for a batch of the given input shape:
+    the output node's entry of {!Graph.infer_shapes}, computed without
+    running any arithmetic.  This is how {!Ax_core.Emulator} shapes the
     output of an empty (zero-image) batch.  Raises [Invalid_argument]
-    if the graph output is scalar-valued or an op's input is not a
-    tensor. *)
+    if the graph output is scalar-valued or a node cannot run on its
+    input shapes ({!Graph.node_shape}). *)

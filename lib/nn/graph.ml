@@ -139,60 +139,87 @@ let conv_layers t =
          | Softmax | Shortcut_pad _ ->
            false)
 
+(* Kept out of [node_shape] so that [tensor] there is small enough to
+   inline and the rule allocates no closure per node: the verifier runs
+   it on every node of every graph [Emulator.run] pre-flights. *)
+let input_shape shape_of n k =
+  match shape_of (List.nth n.inputs k) with
+  | Some s -> s
+  | None -> invalid_arg "scalar where a tensor is required"
+
+let node_shape ~input shape_of n =
+  let tensor k = input_shape shape_of n k in
+  match n.op with
+  | Input -> Some input
+  | Const_scalar _ | Min_reduce | Max_reduce -> None
+  | Conv2d { filter; spec; _ } | Ax_conv2d { filter; spec; _ } ->
+    Some (Conv_spec.output_shape spec (tensor 0) filter)
+  | Depthwise_conv2d { filter; spec; _ }
+  | Ax_depthwise_conv2d { filter; spec; _ } ->
+    Some (Depthwise.output_shape ~spec (tensor 0) filter)
+  | Relu | Softmax -> Some (tensor 0)
+  | Batch_norm { scale; shift } ->
+    let s = tensor 0 in
+    let c = Shape.(s.c) in
+    if Array.length scale <> c || Array.length shift <> c then
+      invalid_arg
+        (Printf.sprintf "batch-norm parameters have %d/%d entries for %d \
+                         channels"
+           (Array.length scale) (Array.length shift) c);
+    Some s
+  | Max_pool { size; stride } ->
+    let s = tensor 0 in
+    let h = Shape.(s.h) and w = Shape.(s.w) in
+    if size <= 0 || stride <= 0 then
+      invalid_arg "pool size and stride must be positive";
+    if h < size || w < size then
+      invalid_arg
+        (Printf.sprintf "%dx%d window over %dx%d input" size size h w);
+    Some
+      (Shape.make ~n:Shape.(s.n)
+         ~h:(((h - size) / stride) + 1)
+         ~w:(((w - size) / stride) + 1)
+         ~c:Shape.(s.c))
+  | Global_avg_pool ->
+    let s = tensor 0 in
+    Some (Shape.make ~n:Shape.(s.n) ~h:1 ~w:1 ~c:Shape.(s.c))
+  | Dense { weights; _ } ->
+    let s = tensor 0 in
+    let features = Shape.(s.h * s.w * s.c) in
+    let rows = weights.Ax_tensor.Matrix.rows in
+    if rows <> features then
+      invalid_arg
+        (Printf.sprintf "%d features but weights have %d rows" features rows);
+    Some
+      (Shape.make ~n:Shape.(s.n) ~h:1 ~w:1 ~c:weights.Ax_tensor.Matrix.cols)
+  | Add ->
+    let a = tensor 0 and b = tensor 1 in
+    if not (Shape.equal a b) then
+      invalid_arg
+        (Printf.sprintf "residual join of %s with %s" (Shape.to_string a)
+           (Shape.to_string b));
+    Some a
+  | Shortcut_pad { stride; out_c } ->
+    let s = tensor 0 in
+    let h = Shape.(s.h) and w = Shape.(s.w) and c = Shape.(s.c) in
+    if stride <= 0 then invalid_arg "shortcut stride must be positive";
+    if out_c < c then
+      invalid_arg
+        (Printf.sprintf "shortcut cannot shrink %d channels to %d" c out_c);
+    Some
+      (Shape.make ~n:Shape.(s.n)
+         ~h:((h + stride - 1) / stride)
+         ~w:((w + stride - 1) / stride)
+         ~c:out_c)
+
 let infer_shapes t ~input =
-  let shapes : Shape.t option array = Array.make (size t) None in
-  let shape_of id =
-    match shapes.(id) with
-    | Some s -> s
-    | None -> invalid_arg "Graph.infer_shapes: scalar used as tensor"
-  in
-  Array.iter
-    (fun n ->
-      let s =
-        match n.op with
-        | Input -> Some input
-        | Const_scalar _ | Min_reduce | Max_reduce -> None
-        | Conv2d { filter; spec; _ } ->
-          Some (Conv_spec.output_shape spec (shape_of (List.nth n.inputs 0)) filter)
-        | Ax_conv2d { filter; spec; _ } ->
-          Some (Conv_spec.output_shape spec (shape_of (List.nth n.inputs 0)) filter)
-        | Depthwise_conv2d { filter; spec; _ }
-        | Ax_depthwise_conv2d { filter; spec; _ } ->
-          Some
-            (Depthwise.output_shape ~spec (shape_of (List.nth n.inputs 0))
-               filter)
-        | Relu | Batch_norm _ | Softmax ->
-          Some (shape_of (List.nth n.inputs 0))
-        | Max_pool { size; stride } ->
-          let s = shape_of (List.nth n.inputs 0) in
-          Some
-            (Shape.make ~n:Shape.(s.n)
-               ~h:(((Shape.(s.h) - size) / stride) + 1)
-               ~w:(((Shape.(s.w) - size) / stride) + 1)
-               ~c:Shape.(s.c))
-        | Global_avg_pool ->
-          let s = shape_of (List.nth n.inputs 0) in
-          Some (Shape.make ~n:Shape.(s.n) ~h:1 ~w:1 ~c:Shape.(s.c))
-        | Dense { weights; _ } ->
-          let s = shape_of (List.nth n.inputs 0) in
-          Some
-            (Shape.make ~n:Shape.(s.n) ~h:1 ~w:1
-               ~c:weights.Ax_tensor.Matrix.cols)
-        | Add -> Some (shape_of (List.nth n.inputs 0))
-        | Shortcut_pad { stride; out_c } ->
-          let s = shape_of (List.nth n.inputs 0) in
-          Some
-            (Shape.make ~n:Shape.(s.n)
-               ~h:((Shape.(s.h) + stride - 1) / stride)
-               ~w:((Shape.(s.w) + stride - 1) / stride)
-               ~c:out_c)
-      in
-      shapes.(n.id) <- s)
-    t.all;
-  Array.to_list (Array.mapi (fun id s -> (id, s)) shapes)
+  let shapes = Array.make (size t) None in
+  let shape_of id = shapes.(id) in
+  Array.iter (fun n -> shapes.(n.id) <- node_shape ~input shape_of n) t.all;
+  shapes
 
 let total_macs t ~input =
-  let shapes = Array.of_list (List.map snd (infer_shapes t ~input)) in
+  let shapes = infer_shapes t ~input in
   Array.fold_left
     (fun acc n ->
       match n.op with

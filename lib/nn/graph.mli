@@ -102,13 +102,29 @@ val conv_layers : t -> node list
 (** All convolution nodes ([Conv2d], [Ax_conv2d] and their depthwise
     variants), in order — the layers Table I counts as [L]. *)
 
+val node_shape :
+  input:Ax_tensor.Shape.t ->
+  (node_id -> Ax_tensor.Shape.t option) ->
+  node ->
+  Ax_tensor.Shape.t option
+(** [node_shape ~input shape_of n] is the output shape of [n] ([None]
+    for a scalar-valued op) given the graph input's shape and
+    [shape_of], the shape of each of [n]'s inputs — the one per-op shape
+    rule.  Raises [Invalid_argument] when the node cannot run on those
+    shapes: a channel or feature count that differs from the weights', a
+    residual join of two different shapes, batch-norm vectors of the
+    wrong length, a shortcut that shrinks channels, a non-positive pool
+    size or stride, or a pool window larger than its input. *)
+
+val infer_shapes :
+  t -> input:Ax_tensor.Shape.t -> Ax_tensor.Shape.t option array
+(** Static shape of every node, indexed by id ([None] for scalars):
+    {!node_shape} folded over the graph.  Raises as {!node_shape} does,
+    at the first node that cannot run. *)
+
 val total_macs : t -> input:Ax_tensor.Shape.t -> int
 (** MAC count of all convolution layers for a given input shape,
     propagating shapes through the graph. *)
-
-val infer_shapes : t -> input:Ax_tensor.Shape.t ->
-  (node_id * Ax_tensor.Shape.t option) list
-(** Static shape of every tensor-valued node ([None] for scalars). *)
 
 val pp_summary : Format.formatter -> t -> unit
 (** One line per node: name, op, inputs — a readable rendering of

@@ -255,6 +255,76 @@ let test_bias_arity () =
   check_rules "bias length" [ "graph/bias-arity" ]
     (Graph_check.check ~input:input_shape g)
 
+(* Each graph breaks one shape rule at its node "bad", which feeds a
+   Softmax output.  The builder accepts all of them; the verifier must
+   report exactly one shape mismatch at "bad", and the two other shape
+   readers must refuse the graph with the same message. *)
+let test_every_shape_rule () =
+  let input = Shape.make ~n:1 ~h:4 ~w:4 ~c:2 in
+  (* input [-> 2x2 pool] -> bad -> out; an Add joins input and pool. *)
+  let graph ?(pooled = false) op =
+    let b = Graph.builder () in
+    let i = Graph.add b ~name:"input" Graph.Input [] in
+    let inputs =
+      if pooled then
+        let pool = Graph.Max_pool { size = 2; stride = 2 } in
+        [ i; Graph.add b ~name:"pool" pool [ i ] ]
+      else [ i ]
+    in
+    let bad = Graph.add b ~name:"bad" op inputs in
+    let out = Graph.add b ~name:"out" Graph.Softmax [ bad ] in
+    (bad, Graph.finalize b ~output:out)
+  in
+  let dense =
+    Graph.Dense
+      {
+        weights = Ax_tensor.Matrix.create ~rows:7 ~cols:3;
+        bias = Array.make 3 0.;
+      }
+  in
+  let conv =
+    Graph.Conv2d { filter = filter (); bias = None; spec = Conv_spec.default }
+  in
+  List.iter
+    (fun (name, (bad, g)) ->
+      let message =
+        match Graph_check.check ~input g with
+        | [ { D.rule = "graph/shape-mismatch";
+              location = D.Graph_node { id; _ };
+              message;
+              _;
+            } ]
+          when id = bad ->
+          message
+        | ds ->
+          Alcotest.failf
+            "%s: expected one shape mismatch at node %d, got:\n%s" name bad
+            (String.concat "\n" (List.map D.to_string ds))
+      in
+      let refuses reader f =
+        match f () with
+        | exception Invalid_argument m ->
+          Alcotest.(check string) (name ^ ": " ^ reader) message m
+        | () -> Alcotest.failf "%s: %s accepted the graph" name reader
+      in
+      refuses "Graph.infer_shapes" (fun () ->
+          ignore (Graph.infer_shapes g ~input));
+      refuses "Exec.output_shape" (fun () ->
+          ignore (Ax_nn.Exec.output_shape g ~input)))
+    [
+      ("dense rows", graph dense);
+      ("residual join", graph ~pooled:true Graph.Add);
+      ( "batch-norm length",
+        graph (Graph.Batch_norm { scale = [| 1. |]; shift = [| 0. |] }) );
+      ( "shortcut shrinks",
+        graph (Graph.Shortcut_pad { stride = 1; out_c = 1 }) );
+      ("zero pool stride", graph (Graph.Max_pool { size = 2; stride = 0 }));
+      ( "zero shortcut stride",
+        graph (Graph.Shortcut_pad { stride = 0; out_c = 2 }) );
+      ("pool window", graph (Graph.Max_pool { size = 5; stride = 1 }));
+      ("conv channels", graph conv);
+    ]
+
 (* --- quantization goldens ------------------------------------------ *)
 
 let test_accumulator_overflow () =
@@ -471,6 +541,8 @@ let () =
           Alcotest.test_case "tensor as scalar" `Quick test_tensor_as_scalar;
           Alcotest.test_case "shape mismatch" `Quick test_shape_mismatch;
           Alcotest.test_case "bias arity" `Quick test_bias_arity;
+          Alcotest.test_case "every shape rule" `Quick
+            test_every_shape_rule;
         ] );
       ( "quantization goldens",
         [

@@ -1,6 +1,6 @@
 (* Formal-verification substrate: BDDs (construction, operations,
-   model counting), circuit equivalence checking, the dead-logic
-   stripping pass, and the multiplier design-space search. *)
+   model counting), circuit equivalence checking and the dead-logic
+   stripping pass. *)
 
 module Circuit = Ax_netlist.Circuit
 module Bdd = Ax_netlist.Bdd
@@ -10,8 +10,6 @@ module Power = Ax_netlist.Power
 module Bus = Ax_netlist.Bus
 module Adders = Ax_netlist.Adders
 module Sim = Ax_netlist.Sim
-module Search = Ax_arith.Search
-module Metrics = Ax_arith.Error_metrics
 module Truncation = Ax_arith.Truncation
 
 let check_bool = Alcotest.(check bool)
@@ -300,101 +298,6 @@ let test_strip_dead_after_pruning () =
     done
   done
 
-(* --- design-space search --- *)
-
-let test_full_mask_is_exact () =
-  let c = Search.evaluate (Search.full_mask ()) in
-  check_bool "exact" true (Metrics.is_exact c.Search.metrics);
-  check_int "64 products" 64 c.Search.kept
-
-let test_truncation_mask_matches_truncation () =
-  let mask = Search.truncation_mask ~cut:6 in
-  let f = Search.multiply_of_mask mask in
-  let reference = Truncation.truncated ~bits:8 ~cut:6 in
-  for a = 0 to 255 do
-    let b = (a * 59 + 3) land 255 in
-    check_int "mask = truncation" (reference a b) (f a b)
-  done
-
-let test_greedy_prune_trajectory () =
-  let trajectory = Search.greedy_prune ~max_mae:500. () in
-  check_bool "starts exact" true
-    (Metrics.is_exact (List.hd trajectory).Search.metrics);
-  check_bool "several steps" true (List.length trajectory > 5);
-  (* MAE non-decreasing, area non-increasing along the trajectory. *)
-  let rec walk = function
-    | a :: (b :: _ as rest) ->
-      check_bool "mae grows" true
-        (b.Search.metrics.Metrics.mae >= a.Search.metrics.Metrics.mae);
-      check_bool "area shrinks" true (b.Search.area_proxy < a.Search.area_proxy);
-      walk rest
-    | [ _ ] | [] -> ()
-  in
-  walk trajectory;
-  check_bool "respects max_mae" true
-    (List.for_all
-       (fun c -> c.Search.metrics.Metrics.mae <= 500.)
-       trajectory)
-
-let test_greedy_beats_or_matches_truncation () =
-  (* At equal kept-product count, greedy pruning (which always drops the
-     lightest product) must be at least as accurate as plain truncation. *)
-  let trajectory = Search.greedy_prune ~max_mae:2000. () in
-  List.iter
-    (fun cut ->
-      let trunc = Search.evaluate (Search.truncation_mask ~cut) in
-      match
-        List.find_opt (fun c -> c.Search.kept = trunc.Search.kept) trajectory
-      with
-      | Some greedy ->
-        check_bool
-          (Printf.sprintf "cut=%d: greedy %.2f <= trunc %.2f" cut
-             greedy.Search.metrics.Metrics.mae trunc.Search.metrics.Metrics.mae)
-          true
-          (greedy.Search.metrics.Metrics.mae
-           <= trunc.Search.metrics.Metrics.mae +. 1e-9)
-      | None -> ())
-    [ 4; 6 ]
-
-let test_pareto_front () =
-  let candidates =
-    Search.random_candidates ~seed:5 ~samples:30 ()
-    @ [ Search.evaluate (Search.full_mask ()) ]
-  in
-  let front = Search.pareto_front candidates in
-  check_bool "front not empty" true (List.length front > 0);
-  (* No member dominated by any candidate. *)
-  List.iter
-    (fun f ->
-      List.iter
-        (fun c ->
-          if
-            c.Search.metrics.Metrics.mae < f.Search.metrics.Metrics.mae
-            && c.Search.area_proxy < f.Search.area_proxy
-          then Alcotest.fail "dominated member on front")
-        candidates)
-    front;
-  (* Exact multiplier (mae 0) is always on the front. *)
-  check_bool "exact on front" true
-    (List.exists (fun c -> Metrics.is_exact c.Search.metrics) front)
-
-let test_searched_candidate_netlist_consistent () =
-  let trajectory = Search.greedy_prune ~max_mae:100. () in
-  let last = List.nth trajectory (List.length trajectory - 1) in
-  let netlist = Search.netlist_of last in
-  let gate_fn = Multipliers.behavioural netlist in
-  let model = Search.multiply_of_mask last.Search.mask in
-  for a = 0 to 255 do
-    let b = (a * 17 + 11) land 255 in
-    check_int "netlist = mask model" (model a b) (gate_fn a b)
-  done;
-  let report = Search.hardware_of last in
-  let exact_report =
-    Power.analyze (Multipliers.unsigned_array ~bits:8).Multipliers.circuit
-  in
-  check_bool "pruned candidate is smaller" true
-    (report.Power.area < exact_report.Power.area)
-
 let () =
   Alcotest.run "ax_formal"
     [
@@ -433,18 +336,5 @@ let () =
           Alcotest.test_case "multiplier + idempotence" `Quick
             test_strip_dead_multiplier_and_idempotence;
           Alcotest.test_case "after pruning" `Quick test_strip_dead_after_pruning;
-        ] );
-      ( "search",
-        [
-          Alcotest.test_case "full mask exact" `Quick test_full_mask_is_exact;
-          Alcotest.test_case "truncation mask" `Quick
-            test_truncation_mask_matches_truncation;
-          Alcotest.test_case "greedy trajectory" `Slow
-            test_greedy_prune_trajectory;
-          Alcotest.test_case "greedy >= truncation" `Slow
-            test_greedy_beats_or_matches_truncation;
-          Alcotest.test_case "pareto front" `Slow test_pareto_front;
-          Alcotest.test_case "finalist netlist consistent" `Slow
-            test_searched_candidate_netlist_consistent;
         ] );
     ]

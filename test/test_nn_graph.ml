@@ -146,8 +146,8 @@ let test_infer_shapes () =
   let g = single_conv_graph () in
   let input = Shape.make ~n:1 ~h:8 ~w:8 ~c:3 in
   let shapes = Graph.infer_shapes g ~input in
-  List.iter
-    (fun (id, shape) ->
+  Array.iteri
+    (fun id shape ->
       match (Graph.node g id).Graph.op with
       | Graph.Conv2d _ ->
         (match shape with

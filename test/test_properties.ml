@@ -7,7 +7,6 @@ module Sim = Ax_netlist.Sim
 module Bdd = Ax_netlist.Bdd
 module Opt = Ax_netlist.Opt
 module Multipliers = Ax_netlist.Multipliers
-module Search = Ax_arith.Search
 module Lut = Ax_arith.Lut
 module S = Ax_arith.Signedness
 module Faults = Ax_arith.Faults
@@ -105,7 +104,8 @@ let prop_pruning_never_overestimates =
     (fun (seed, a, b) ->
       let rng = Rng.create seed in
       let mask = Array.init 64 (fun _ -> Rng.int rng 2 = 1) in
-      Search.multiply_of_mask mask a b <= a * b)
+      let keep i j = mask.((i * 8) + j) in
+      Ax_arith.Truncation.pruned ~bits:8 ~keep a b <= a * b)
 
 (* --- LUT and fault injection --- *)
 
