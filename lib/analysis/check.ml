@@ -16,24 +16,7 @@ let registry_entry (e : Ax_arith.Registry.entry) =
   | None -> table
   | Some make -> table @ Netlist_check.check_multiplier ~lut (make ())
 
-let enabled () = Sys.getenv_opt "TFAPPROX_NO_CHECK" = None
-
-(* Pre-flight cache: physical identity of verified graphs.  Bounded so
-   long sweeps over many freshly built graphs cannot leak; re-verifying
-   after an eviction is only a performance cost. *)
-let max_cached = 16
-let verified : Ax_nn.Graph.t list ref = ref []
-
 let assert_runnable ?input g =
-  if enabled () && not (List.memq g !verified) then begin
-    let findings, _ = graph ?input g in
-    (match D.errors findings with
-    | [] -> ()
-    | errors -> raise (D.Rejected errors));
-    verified :=
-      g
-      ::
-      (if List.length !verified >= max_cached then
-         List.filteri (fun i _ -> i < max_cached - 1) !verified
-       else !verified)
-  end
+  match D.errors (fst (graph ?input g)) with
+  | [] -> ()
+  | errors -> raise (D.Rejected errors)

@@ -21,18 +21,12 @@ val registry_entry : Ax_arith.Registry.entry -> Diagnostic.t list
 
 (** {1 Pre-flight}
 
-    {!Emulator.run} verifies each graph once before executing it, so a
-    miswired or overflow-prone model fails loudly at the door instead
-    of producing silently wrong accuracies.  Set the environment
-    variable [TFAPPROX_NO_CHECK] (to any value) to opt out, e.g. for
-    deliberately-broken fault-injection graphs. *)
-
-val enabled : unit -> bool
-(** False iff [TFAPPROX_NO_CHECK] is set in the environment. *)
+    {!Emulator.run} verifies the graph against the input's shape before
+    every run, so a miswired or overflow-prone model, or an input of the
+    wrong shape, fails loudly at the door instead of producing silently
+    wrong accuracies. *)
 
 val assert_runnable : ?input:Ax_tensor.Shape.t -> Ax_nn.Graph.t -> unit
 (** Raises {!Diagnostic.Rejected} with the error-severity findings if
-    the graph fails {!graph}; warnings and infos never reject.  Results
-    are cached by physical graph identity (bounded), so per-batch and
-    per-trial callers pay the analysis once; a no-op when not
-    {!enabled}. *)
+    the graph fails {!graph}; warnings and infos never reject.  Nothing
+    is cached: every call runs the analysis for the shape it is given. *)

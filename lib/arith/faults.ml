@@ -4,15 +4,6 @@ let stuck_at ~bit ~value f a b =
 
 let bit_flip ~bit f a b = f a b lxor (1 lsl bit)
 
-(* SplitMix64 finaliser over a mixed key: cheap, deterministic and well
-   distributed, so per-(a,b,bit) decisions look independent. *)
-let mix64 key =
-  let open Int64 in
-  let z = add key 0x9E3779B97F4A7C15L in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-  logxor z (shift_right_logical z 31)
-
 let random_flip ~probability ~seed ~bits f a b =
   if probability < 0. || probability > 1. then
     invalid_arg "Faults.random_flip: probability out of [0,1]";
@@ -23,7 +14,13 @@ let random_flip ~probability ~seed ~bits f a b =
       Int64.of_int
         ((seed * 0x3FFFFF) lxor (a lsl 24) lxor (b lsl 8) lxor bit)
     in
-    let draw = Int64.shift_right_logical (mix64 key) 11 in
+    (* SplitMix64 over a mixed key: cheap, deterministic and well
+       distributed, so per-(a,b,bit) decisions look independent. *)
+    let draw =
+      Int64.shift_right_logical
+        (Ax_tensor.Rng.mix (Int64.add key Ax_tensor.Rng.golden))
+        11
+    in
     if Int64.unsigned_compare draw threshold < 0 then p := !p lxor (1 lsl bit)
   done;
   !p

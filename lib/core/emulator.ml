@@ -35,29 +35,6 @@ let backend_name = function
   | Cpu_direct -> "cpu-direct"
   | Cpu_gemm -> "cpu-gemm"
 
-(* Fold one shard's phase seconds, GC deltas, counters and histograms
-   into the coordinator's profile.  Phase seconds are float sums,
-   counters and histogram buckets integer sums, so merging the shards in
-   index order keeps every counter bit-identical across pool sizes (the
-   shards themselves never touch the coordinator profile —
-   [Ax_obs.Metrics] cells are not thread-safe). *)
-let merge_shard_profile ~into part =
-  List.iter
-    (fun ph ->
-      Profile.add_seconds into ph (Profile.seconds part ph);
-      let name = Profile.phase_name ph in
-      Ax_obs.Phases.add_gc (Profile.phases into) name
-        (Ax_obs.Phases.gc_delta (Profile.phases part) name))
-    [ Profile.Init; Profile.Quantization; Profile.Lut; Profile.Other ];
-  let snap = Ax_obs.Metrics.snapshot (Profile.metrics part) in
-  List.iter
-    (fun (name, v) -> if v > 0 then Ax_obs.Metrics.add (Profile.metrics into) name v)
-    snap.Ax_obs.Metrics.counters;
-  List.iter
-    (fun (name, h) ->
-      Ax_obs.Metrics.merge_histogram (Profile.metrics into) name h)
-    snap.Ax_obs.Metrics.histograms
-
 (* Batch-level sharding: one shard per image, regardless of the domain
    count, so the per-shard Min/Max range nodes see exactly the same data
    for every [domains] value — outputs, counters and accuracy are
@@ -97,13 +74,15 @@ let run_sharded ?profile ?tap ~domains ~backend g input =
       Pool.map_array pool ~max_domains:domains run_shard
         (Array.init images (fun i -> i))
     in
+    (* Shards never touch the coordinator profile ([Ax_obs.Metrics]
+       cells are not thread-safe); it folds them in, in index order. *)
     (match profile with
     | Some p ->
       Array.iter
         (fun (_, sp, dur) ->
           match sp with
           | Some sp ->
-            merge_shard_profile ~into:p sp;
+            Profile.merge ~into:p sp;
             (match (Profile.trace sp, sink_tracer) with
             | Some fork, Some sink -> Ax_obs.Trace.merge ~into:sink fork
             | (Some _ | None), _ -> ());
@@ -125,7 +104,7 @@ let run_sharded ?profile ?tap ~domains ~backend g input =
       Fun.protect
         ~finally:(fun () -> Pool.set_tracer pool None)
         (fun () ->
-          Profile.span p ~name:"emulator.run"
+          Profile.span profile ~name:"emulator.run"
             ~attrs:
               [
                 ("backend", backend_name backend);
@@ -170,7 +149,7 @@ let run ?(verify = true) ?profile ?domains ?tap ~backend g input =
       let images = Shape.((Tensor.shape input).n) in
       let start = Unix.gettimeofday () in
       let out =
-        Profile.span p ~name:"emulator.run"
+        Profile.span profile ~name:"emulator.run"
           ~attrs:
             [
               ("backend", backend_name backend);
@@ -195,17 +174,10 @@ let accuracy ?verify ?profile ?domains ?tap g ~backend dataset =
       dataset.Ax_data.Cifar.images
   in
   let preds =
-    match profile with
-    | Some p ->
-      Ax_nn.Profile.span p ~name:"emulator.accuracy"
-        ~attrs:
-          [
-            ( "images",
-              string_of_int
-                (Array.length dataset.Ax_data.Cifar.labels) );
-          ]
-        batch
-    | None -> batch ()
+    Profile.span profile ~name:"emulator.accuracy"
+      ~attrs:
+        [ ("images", string_of_int (Array.length dataset.Ax_data.Cifar.labels)) ]
+      batch
   in
   let labels = dataset.Ax_data.Cifar.labels in
   if Array.length labels = 0 then invalid_arg "Emulator.accuracy: empty dataset";

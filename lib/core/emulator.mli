@@ -43,13 +43,12 @@ val run :
     is wrapped in an ["emulator.run"] span (backend and batch size as
     attributes) and the profile's ["images_per_sec"] gauge is set.
 
-    Unless [verify:false] (or the [TFAPPROX_NO_CHECK] environment
-    variable) opts out, the graph is first passed through the static
-    verifier ({!Ax_analysis.Check.assert_runnable}): error-severity
-    findings — miswired Fig. 1 range inputs, shape mismatches,
-    accumulator overflow — raise {!Ax_analysis.Diagnostic.Rejected}
-    before any tensor is touched.  Verification is cached per graph, so
-    repeated runs pay it once.
+    Unless [verify:false] opts out, the graph is first passed through
+    the static verifier ({!Ax_analysis.Check.assert_runnable}) against
+    the input's shape: error-severity findings — miswired Fig. 1 range
+    inputs, shape mismatches, accumulator overflow — raise
+    {!Ax_analysis.Diagnostic.Rejected} before any tensor is touched.
+    Nothing is cached, so every call checks the shape it is given.
 
     Without [domains] the whole batch runs as one graph evaluation, as
     in the original emulator.  With [domains:d] the batch is sharded

@@ -2,6 +2,7 @@ module Circuit = Ax_netlist.Circuit
 module Gate = Ax_netlist.Gate
 module Opt = Ax_netlist.Opt
 module Multipliers = Ax_netlist.Multipliers
+module Rng = Ax_tensor.Rng
 
 type op = Buf | Not | And2 | Or2 | Xor2 | Nand2 | Nor2 | Xnor2
 
@@ -112,26 +113,26 @@ let mutate ~rng ?(operations = 1) g =
   in
   if Array.length targets > 0 then
     for _ = 1 to Int.max 0 operations do
-      let i = targets.(Srng.int rng (Array.length targets)) in
-      match Srng.int rng 3 with
+      let i = targets.(Rng.int rng (Array.length targets)) in
+      match Rng.int rng 3 with
       | 0 -> (
         (* gate substitution *)
         match genes.(i) with
         | Gate { a; b; _ } ->
           genes.(i) <-
-            Gate { op = all_ops.(Srng.int rng (Array.length all_ops)); a; b }
-        | Input _ | Const _ -> genes.(i) <- Const (Srng.bool rng))
+            Gate { op = all_ops.(Rng.int rng (Array.length all_ops)); a; b }
+        | Input _ | Const _ -> genes.(i) <- Const (Rng.bool rng))
       | 1 -> (
         (* fan-in rewire; gates always sit above index 0, so the draw
            below is over a non-empty range *)
         match genes.(i) with
         | Gate { op; a; b } ->
-          let target = Srng.int rng i in
+          let target = Rng.int rng i in
           genes.(i) <-
-            (if Srng.bool rng then Gate { op; a = target; b }
+            (if Rng.bool rng then Gate { op; a = target; b }
              else Gate { op; a; b = target })
-        | Input _ | Const _ -> genes.(i) <- Const (Srng.bool rng))
-      | _ -> genes.(i) <- Const (Srng.bool rng)
+        | Input _ | Const _ -> genes.(i) <- Const (Rng.bool rng))
+      | _ -> genes.(i) <- Const (Rng.bool rng)
     done;
   { g with genes }
 

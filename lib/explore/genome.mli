@@ -42,7 +42,7 @@ val to_multiplier : ?name:string -> t -> Ax_netlist.Multipliers.t
 (** [to_circuit] followed by {!Ax_netlist.Opt.strip_dead}, wrapped with
     the genome's declared interface widths. *)
 
-val mutate : rng:Srng.t -> ?operations:int -> t -> t
+val mutate : rng:Ax_tensor.Rng.t -> ?operations:int -> t -> t
 (** A fresh genome with [operations] (default 1) random edits, each one
     of: gate substitution (new operator, same fan-ins), fan-in rewire
     (one operand re-pointed to a uniformly chosen earlier gene) or

@@ -11,6 +11,7 @@ module Diagnostic = Ax_analysis.Diagnostic
 module Energy = Ax_gpusim.Energy
 module Pool = Ax_pool.Pool
 module Emulator = Tfapprox.Emulator
+module Rng = Ax_tensor.Rng
 
 type model = Resnet8 | Lenet
 
@@ -222,7 +223,7 @@ let run ?pool config =
     if config.budget <= 0 then config.population * (config.generations + 1)
     else config.budget
   in
-  let rng = Srng.create config.seed in
+  let rng = Rng.of_state (Int64.logxor (Int64.of_int config.seed) Rng.golden) in
   let seen = Hashtbl.create 128 in
   let accuracy_memo = Hashtbl.create 128 in
   let evaluated = ref 0 in

@@ -15,8 +15,8 @@
     {!Ax_gpusim.Energy}, keeping a Pareto archive ({!Pareto}).
 
     {b Determinism contract.}  A run is a pure function of its
-    {!config}: mutation randomness comes from a seeded {!Srng} stream
-    on the coordinator, candidates are deduplicated and ordered there,
+    {!config}: mutation randomness comes from a seeded
+    {!Ax_tensor.Rng} stream on the coordinator, candidates are deduplicated and ordered there,
     and both pool fan-outs (sweeps, then certification and scoring) use
     [map_array] (index-ordered results), so
     {!front_json_string} and {!front_csv_string} are byte-identical

@@ -63,24 +63,12 @@ let exact_signal_probabilities c =
 let monte_carlo_signal_probabilities ~seed ~samples c =
   if samples <= 0 then
     invalid_arg "Power.monte_carlo_signal_probabilities: samples must be > 0";
-  (* splitmix64: one independent 64-lane word per (sweep, input) cell,
-     so every lane is an independent uniform test vector and the whole
-     estimate is a pure function of [seed]. *)
-  let state = ref (Int64.logxor (Int64.of_int seed) 0x9E3779B97F4A7C15L) in
-  let next () =
-    state := Int64.add !state 0x9E3779B97F4A7C15L;
-    let z = !state in
-    let z =
-      Int64.mul
-        (Int64.logxor z (Int64.shift_right_logical z 30))
-        0xBF58476D1CE4E5B9L
-    in
-    let z =
-      Int64.mul
-        (Int64.logxor z (Int64.shift_right_logical z 27))
-        0x94D049BB133111EBL
-    in
-    Int64.logxor z (Int64.shift_right_logical z 31)
+  (* One independent 64-lane word per (sweep, input) cell, so every
+     lane is an independent uniform test vector and the whole estimate
+     is a pure function of [seed]. *)
+  let rng =
+    Ax_tensor.Rng.of_state
+      (Int64.logxor (Int64.of_int seed) Ax_tensor.Rng.golden)
   in
   let sweeps = (samples + 63) / 64 in
   let bits = Circuit.input_count c in
@@ -88,7 +76,7 @@ let monte_carlo_signal_probabilities ~seed ~samples c =
      (high half) of input o, so every lane keeps its draw. *)
   let halves = Array.make (2 * sweeps * bits) 0 in
   for cell = 0 to (sweeps * bits) - 1 do
-    let z = next () in
+    let z = Ax_tensor.Rng.next_int64 rng in
     halves.(2 * cell) <- Int64.to_int (Int64.logand z 0xFFFFFFFFL);
     halves.((2 * cell) + 1) <- Int64.to_int (Int64.shift_right_logical z 32)
   done;

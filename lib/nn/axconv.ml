@@ -125,14 +125,6 @@ let conv ?profile ?pool ?scratch ~config ~input ~input_range ~filter
       if config.domains > 1 then Some (Pool.ensure ~domains:config.domains)
       else None
   in
-  let charge phase f =
-    match profile with Some p -> Profile.time p phase f | None -> f ()
-  in
-  let span name attrs f =
-    match profile with
-    | Some p -> Profile.span p ~name ~attrs f
-    | None -> f ()
-  in
   let note name n =
     match profile with Some p -> Profile.count p name n | None -> ()
   in
@@ -144,18 +136,21 @@ let conv ?profile ?pool ?scratch ~config ~input ~input_range ~filter
     | Some p -> Int.min config.domains (Pool.size p)
     | None -> 1
   in
-  span "axconv.conv"
-    [
-      ( "out_shape",
-        Printf.sprintf "%dx%dx%dx%d" out_shape.Shape.n out_shape.Shape.h
-          out_shape.Shape.w out_shape.Shape.c );
-      ("taps", string_of_int (Filter.taps filter));
-      ("out_c", string_of_int (Filter.out_c filter));
-      ("chunk_size", string_of_int config.chunk_size);
-      ("domains", string_of_int effective_domains);
-    ]
+  Profile.span profile ~name:"axconv.conv"
+    ~attrs:
+      [
+        ( "out_shape",
+          Printf.sprintf "%dx%dx%dx%d" out_shape.Shape.n out_shape.Shape.h
+            out_shape.Shape.w out_shape.Shape.c );
+        ("taps", string_of_int (Filter.taps filter));
+        ("out_c", string_of_int (Filter.out_c filter));
+        ("chunk_size", string_of_int config.chunk_size);
+        ("domains", string_of_int effective_domains);
+      ]
   @@ fun () ->
-  let out = charge Profile.Init (fun () -> Tensor.create out_shape) in
+  let out =
+    Profile.time profile Profile.Init (fun () -> Tensor.create out_shape)
+  in
   (* The chunk-reusable buffers ([mp]/[sp]/[pf]) come from the caller's
      arena (default: this domain's); the accumulator tile always comes
      from the executing domain's own arena, so pool workers stay
@@ -166,7 +161,7 @@ let conv ?profile ?pool ?scratch ~config ~input ~input_range ~filter
   (* ComputeCoeffs for both operands, then quantize the filter bank once
      for the whole batch. *)
   let coeffs1, coeffs2, mf_t, sf =
-    charge Profile.Quantization (fun () ->
+    Profile.time profile Profile.Quantization (fun () ->
         let coeffs1 =
           Q.compute_coeffs signedness ~rmin:input_range.Range.min
             ~rmax:input_range.Range.max
@@ -191,7 +186,7 @@ let conv ?profile ?pool ?scratch ~config ~input ~input_range ~filter
      walk contiguous.  Once per conv, straight out of the filter-major
      bank. *)
   let pf =
-    charge Profile.Quantization (fun () ->
+    Profile.time profile Profile.Quantization (fun () ->
         let pf = Scratch.pf scratch (taps * out_c) in
         for k = 0 to out_c - 1 do
           let mf_base = k * taps in
@@ -225,7 +220,7 @@ let conv ?profile ?pool ?scratch ~config ~input ~input_range ~filter
     let chunk_rows = count * rows_per_image in
     let run_chunk () =
       let mp, sp =
-        charge Profile.Quantization (fun () ->
+        Profile.time profile Profile.Quantization (fun () ->
             Im2col.to_codes_range ?pool ~domains:config.domains ~scratch
               plan input ~row_lo
               ~row_hi:(row_lo + chunk_rows) ~coeffs:coeffs1
@@ -346,7 +341,7 @@ let conv ?profile ?pool ?scratch ~config ~input ~input_range ~filter
          domain does not stall the chunk.  Output rows are produced
          whole by their claiming domain, hence bit-identical for any
          domain count. *)
-      charge Profile.Lut (fun () ->
+      Profile.time profile Profile.Lut (fun () ->
           match pool with
           | Some p ->
             Pool.parallel_for p ~max_domains:config.domains
@@ -372,7 +367,7 @@ let conv ?profile ?pool ?scratch ~config ~input ~input_range ~filter
     (match profile with
     | Some p ->
       let chunk_start = Unix.gettimeofday () in
-      Profile.span p ~name:"axconv.chunk"
+      Profile.span profile ~name:"axconv.chunk"
         ~attrs:
           [
             ("chunk", string_of_int !chunk_idx);

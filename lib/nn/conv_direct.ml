@@ -12,15 +12,14 @@ let conv ?profile ~config ~input ~input_range ~filter ~filter_range ?bias
   | Some b when Array.length b <> Filter.out_c filter ->
     invalid_arg "Conv_direct.conv: bias length differs from filter count"
   | Some _ | None -> ());
-  let charge phase f =
-    match profile with Some p -> Profile.time p phase f | None -> f ()
-  in
   let lut = config.Axconv.lut in
   let signedness = Lut.signedness lut in
   let out_shape = Conv_spec.output_shape spec (Tensor.shape input) filter in
-  let out = charge Profile.Init (fun () -> Tensor.create out_shape) in
+  let out =
+    Profile.time profile Profile.Init (fun () -> Tensor.create out_shape)
+  in
   let coeffs1, coeffs2, mf_t, sf =
-    charge Profile.Quantization (fun () ->
+    Profile.time profile Profile.Quantization (fun () ->
         let coeffs1 =
           Q.compute_coeffs signedness ~rmin:input_range.Range.min
             ~rmax:input_range.Range.max
@@ -63,7 +62,7 @@ let conv ?profile ~config ~input ~input_range ~filter ~filter_range ?bias
         let out_base = !row * out_c in
         for k = 0 to out_c - 1 do
           let sp =
-            charge Profile.Quantization (fun () ->
+            Profile.time profile Profile.Quantization (fun () ->
                 let base_h =
                   (oh * spec.Conv_spec.stride) - plan.Im2col.pad_top
                 in
@@ -100,7 +99,7 @@ let conv ?profile ~config ~input ~input_range ~filter ~filter_range ?bias
                 done;
                 !acc)
           in
-          charge Profile.Lut (fun () ->
+          Profile.time profile Profile.Lut (fun () ->
               let mf_base = k * taps in
               let acc = ref 0 in
               for p = 0 to taps - 1 do

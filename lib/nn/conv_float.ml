@@ -60,23 +60,23 @@ let filter_matrix filter =
 
 let gemm ?profile ?scratch ~input ~filter ?bias ~spec () =
   check_bias filter bias;
-  let charge phase f =
-    match profile with Some p -> Profile.time p phase f | None -> f ()
-  in
   let out_shape = Conv_spec.output_shape spec (Tensor.shape input) filter in
   let plan =
     Im2col.make (Tensor.shape input) ~kh:(Filter.kh filter)
       ~kw:(Filter.kw filter) ~spec
   in
   let out, fm =
-    charge Profile.Init (fun () ->
+    Profile.time profile Profile.Init (fun () ->
         (Tensor.create out_shape, filter_matrix filter))
   in
   let patches =
-    charge Profile.Other (fun () -> Im2col.to_matrix ?scratch plan input)
+    Profile.time profile Profile.Other (fun () ->
+        Im2col.to_matrix ?scratch plan input)
   in
-  let product = charge Profile.Other (fun () -> Matrix.matmul patches fm) in
-  charge Profile.Other (fun () ->
+  let product =
+    Profile.time profile Profile.Other (fun () -> Matrix.matmul patches fm)
+  in
+  Profile.time profile Profile.Other (fun () ->
       let out_c = Filter.out_c filter in
       let buf = Tensor.buffer out in
       for row = 0 to plan.Im2col.rows - 1 do

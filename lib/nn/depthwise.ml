@@ -34,9 +34,6 @@ let macs ~spec input filter =
    phases. *)
 let lower ?profile ~input ~filter ?bias ~spec conv =
   check_bias filter bias;
-  let charge f =
-    match profile with Some p -> Profile.time p Profile.Other f | None -> f ()
-  in
   let s = Tensor.shape input in
   let out = Tensor.create (output_shape ~spec s filter) in
   let in_c = Shape.(s.c) and mult = Filter.out_c filter in
@@ -48,7 +45,7 @@ let lower ?profile ~input ~filter ?bias ~spec conv =
   let src = Tensor.buffer input and plane_buf = Tensor.buffer plane in
   let dst = Tensor.buffer out and weights = Filter.raw_data filter in
   for c = 0 to in_c - 1 do
-    charge (fun () ->
+    Profile.time profile Profile.Other (fun () ->
         for p = 0 to positions - 1 do
           plane_buf.{p} <- src.{(p * in_c) + c}
         done);
@@ -61,7 +58,7 @@ let lower ?profile ~input ~filter ?bias ~spec conv =
     let bias = Option.map (fun b -> Array.sub b (c * mult) mult) bias in
     let part = Tensor.buffer (conv ~input:plane ~filter:slice ~bias) in
     let out_positions = Bigarray.Array1.dim part / mult in
-    charge (fun () ->
+    Profile.time profile Profile.Other (fun () ->
         for p = 0 to out_positions - 1 do
           for j = 0 to mult - 1 do
             dst.{(((p * in_c) + c) * mult) + j} <- part.{(p * mult) + j}

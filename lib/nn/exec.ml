@@ -21,14 +21,6 @@ let run_all ?profile ?(strategy = Cpu_gemm) ?scratch ?tap g ~input =
     | Some v -> v
     | None -> invalid_arg "Exec: node evaluated before its input"
   in
-  let charge phase f =
-    match profile with Some p -> Profile.time p phase f | None -> f ()
-  in
-  let span name attrs f =
-    match profile with
-    | Some p -> Profile.span p ~name ~attrs f
-    | None -> f ()
-  in
   (* The approximate conv [strategy] picks: AxConv2D nodes run it once,
      AxDepthwiseConv2D nodes once per input channel. *)
   let ax_conv ~config ~input ~input_range ~filter ~filter_range ?bias ~spec
@@ -41,12 +33,13 @@ let run_all ?profile ?(strategy = Cpu_gemm) ?scratch ?tap g ~input =
       Conv_direct.conv ?profile ~config ~input ~input_range ~filter
         ~filter_range ?bias ~spec ()
   in
-  span "exec.run_all"
-    [
-      ("nodes", string_of_int (Graph.size g));
-      ("strategy", strategy_name strategy);
-      ("batch", string_of_int Ax_tensor.Shape.((Tensor.shape input).n));
-    ]
+  Profile.span profile ~name:"exec.run_all"
+    ~attrs:
+      [
+        ("nodes", string_of_int (Graph.size g));
+        ("strategy", strategy_name strategy);
+        ("batch", string_of_int Ax_tensor.Shape.((Tensor.shape input).n));
+      ]
   @@ fun () ->
   Array.iter
     (fun n ->
@@ -56,10 +49,10 @@ let run_all ?profile ?(strategy = Cpu_gemm) ?scratch ?tap g ~input =
         | Graph.Input, [] -> Tensor input
         | Graph.Const_scalar v, [] -> Scalar v
         | Graph.Min_reduce, [ v ] ->
-          charge Profile.Quantization (fun () ->
+          Profile.time profile Profile.Quantization (fun () ->
               Scalar (fst (Tensor.min_max (tensor_of v))))
         | Graph.Max_reduce, [ v ] ->
-          charge Profile.Quantization (fun () ->
+          Profile.time profile Profile.Quantization (fun () ->
               Scalar (snd (Tensor.min_max (tensor_of v))))
         | Graph.Conv2d { filter; bias; spec }, [ v ] ->
           Tensor
@@ -77,7 +70,7 @@ let run_all ?profile ?(strategy = Cpu_gemm) ?scratch ?tap g ~input =
             (ax_conv ~config ~input:(tensor_of data) ~input_range ~filter
                ~filter_range ?bias ~spec ())
         | Graph.Depthwise_conv2d { filter; bias; spec }, [ v ] ->
-          charge Profile.Other (fun () ->
+          Profile.time profile Profile.Other (fun () ->
               Tensor
                 (Depthwise.float_conv ~input:(tensor_of v) ~filter ?bias
                    ~spec ()))
@@ -94,26 +87,28 @@ let run_all ?profile ?(strategy = Cpu_gemm) ?scratch ?tap g ~input =
                ~input:(tensor_of data) ~input_range ~filter ~filter_range
                ?bias ~spec ())
         | Graph.Relu, [ v ] ->
-          charge Profile.Other (fun () -> Tensor (Layers.relu (tensor_of v)))
+          Profile.time profile Profile.Other (fun () ->
+              Tensor (Layers.relu (tensor_of v)))
         | Graph.Max_pool { size; stride }, [ v ] ->
-          charge Profile.Other (fun () ->
+          Profile.time profile Profile.Other (fun () ->
               Tensor (Layers.max_pool ~size ~stride (tensor_of v)))
         | Graph.Global_avg_pool, [ v ] ->
-          charge Profile.Other (fun () ->
+          Profile.time profile Profile.Other (fun () ->
               Tensor (Layers.global_avg_pool (tensor_of v)))
         | Graph.Dense { weights; bias }, [ v ] ->
-          charge Profile.Other (fun () ->
+          Profile.time profile Profile.Other (fun () ->
               Tensor (Layers.dense ~weights ~bias (tensor_of v)))
         | Graph.Batch_norm { scale; shift }, [ v ] ->
-          charge Profile.Other (fun () ->
+          Profile.time profile Profile.Other (fun () ->
               Tensor (Layers.batch_norm ~scale ~shift (tensor_of v)))
         | Graph.Add, [ a; b ] ->
-          charge Profile.Other (fun () ->
+          Profile.time profile Profile.Other (fun () ->
               Tensor (Tensor.add (tensor_of a) (tensor_of b)))
         | Graph.Softmax, [ v ] ->
-          charge Profile.Other (fun () -> Tensor (Layers.softmax (tensor_of v)))
+          Profile.time profile Profile.Other (fun () ->
+              Tensor (Layers.softmax (tensor_of v)))
         | Graph.Shortcut_pad { stride; out_c }, [ v ] ->
-          charge Profile.Other (fun () ->
+          Profile.time profile Profile.Other (fun () ->
               Tensor (Layers.shortcut_pad ~stride ~out_c (tensor_of v)))
         | ( ( Graph.Input | Graph.Const_scalar _ | Graph.Min_reduce
             | Graph.Max_reduce | Graph.Conv2d _ | Graph.Ax_conv2d _
@@ -126,9 +121,9 @@ let run_all ?profile ?(strategy = Cpu_gemm) ?scratch ?tap g ~input =
             (Printf.sprintf "Exec: arity mismatch at node %s" n.Graph.name)
       in
       let timed () =
-        span
-          (Graph.op_name n.Graph.op)
-          [ ("node", n.Graph.name); ("node_id", string_of_int n.Graph.id) ]
+        Profile.span profile ~name:(Graph.op_name n.Graph.op)
+          ~attrs:
+            [ ("node", n.Graph.name); ("node_id", string_of_int n.Graph.id) ]
           eval
       in
       let result =

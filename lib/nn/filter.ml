@@ -42,13 +42,16 @@ let of_array ~kh ~kw ~in_c ~out_c data =
 
 let to_array t = Array.copy t.data
 
+(* A plain loop keeps [mn] and [mx] unboxed: one call allocates only the
+   result pair, however many weights the bank holds. *)
 let min_max t =
-  let mn = ref t.data.(0) and mx = ref t.data.(0) in
-  Array.iter
-    (fun v ->
-      if v < !mn then mn := v;
-      if v > !mx then mx := v)
-    t.data;
+  let d = t.data in
+  let mn = ref d.(0) and mx = ref d.(0) in
+  for i = 1 to Array.length d - 1 do
+    let v = d.(i) in
+    if v < !mn then mn := v;
+    if v > !mx then mx := v
+  done;
   (!mn, !mx)
 
 let fill_he_normal rng t =

@@ -3,17 +3,12 @@
     dequantization and min/max), LUT lookups, and everything else
     (Im2Cols, GEMM bookkeeping, pooling, ...).
 
-    Since the observability PR this is a thin view over {!Ax_obs}: the
-    four phases live in an {!Ax_obs.Phases} partition, the counters in
-    an {!Ax_obs.Metrics} registry, and an optional {!Ax_obs.Trace}
-    tracer receives the per-node / per-chunk spans opened by the
-    executor and convolution kernels. *)
+    The four phases are slots of one ledger holding seconds and minor
+    words; the counters live in an {!Ax_obs.Metrics} registry, and an
+    optional {!Ax_obs.Trace} tracer receives the per-node / per-chunk
+    spans opened by the executor and convolution kernels. *)
 
 type phase = Init | Quantization | Lut | Other
-
-val phase_name : phase -> string
-(** Stable lower-case name used as the {!Ax_obs.Phases} key
-    (["init"], ["quantization"], ["lut"], ["other"]). *)
 
 type t
 
@@ -24,13 +19,23 @@ val create : ?trace:Ax_obs.Trace.t -> unit -> t
 val reset : t -> unit
 (** Zero phases and counters and clear the attached tracer (if any). *)
 
-val time : t -> phase -> (unit -> 'a) -> 'a
-(** Run a thunk and charge its wall-clock time to a phase.  Nested calls
-    charge the inner phase and subtract from the outer one, so phases
-    never double-count. *)
+val time : t option -> phase -> (unit -> 'a) -> 'a
+(** Run a thunk and charge its wall-clock time and the minor words the
+    calling domain allocated to a phase; just runs it when no profile is
+    given.  Nested calls charge the inner phase and refund the outer
+    one, so phases never double-count.  A charge reads the clock and
+    the unboxed [Gc.minor_words] twice each (~0.1 µs) and allocates
+    nothing itself. *)
 
 val add_seconds : t -> phase -> float -> unit
-(** Charge time measured externally (used by the GPU timeline import). *)
+(** Charge time measured externally (the Fig. 2 scaling).  Negative
+    values are accepted (refunds); {!breakdown} clamps them. *)
+
+val merge : into:t -> t -> unit
+(** Fold a shard's phase seconds and minor words, counters and
+    histograms into [into].  Seconds are float sums and counters and
+    histogram buckets integer sums, so merging shards in index order
+    keeps every counter bit-identical across pool sizes. *)
 
 val count_lut_lookups : t -> int -> unit
 val count_macs : t -> int -> unit
@@ -45,6 +50,10 @@ val observe : t -> string -> float -> unit
     [exec_node_seconds]). *)
 
 val seconds : t -> phase -> float
+
+val minor_words : t -> phase -> float
+(** Minor-heap words allocated while the phase was the innermost one. *)
+
 val total_seconds : t -> float
 val lut_lookups : t -> int
 val macs : t -> int
@@ -53,22 +62,20 @@ val metrics : t -> Ax_obs.Metrics.t
 (** The counter/gauge registry backing this profile ("lut_lookups" and
     "macs" plus whatever instrumented code added). *)
 
-val phases : t -> Ax_obs.Phases.t
-(** The phase partition backing {!time} / {!seconds} — exposed for
-    shard merging and per-phase GC readouts. *)
-
 val publish_gc : t -> unit
-(** Export the per-phase GC deltas ([Phases.publish_gc]) and the
+(** Export each phase's minor words as the gauge
+    [phase_<init|quantization|lut|other>_minor_words] and the
     process-lifetime GC readings ([Metrics.observe_gc]) into
-    {!metrics} as gauges. *)
+    {!metrics}. *)
 
 val trace : t -> Ax_obs.Trace.t option
 val set_trace : t -> Ax_obs.Trace.t -> unit
 
 val span :
-  t -> name:string -> ?attrs:(string * string) list -> (unit -> 'a) -> 'a
+  t option -> name:string -> ?attrs:(string * string) list -> (unit -> 'a) -> 'a
 (** Record a span on the attached tracer; just runs the thunk when no
-    tracer is attached, so instrumentation stays behavior-neutral. *)
+    profile or no tracer is attached, so instrumentation stays
+    behavior-neutral. *)
 
 type breakdown = {
   init_pct : float;

@@ -93,7 +93,7 @@ val observe_gc : t -> unit
     [gc_minor_words], [gc_promoted_words], [gc_major_words],
     [gc_minor_collections], [gc_major_collections], [gc_compactions],
     [gc_heap_words].  Gauges, so repeated publication is idempotent;
-    per-phase deltas live in {!Phases}. *)
+    per-phase minor words live in [Ax_nn.Profile]. *)
 
 (** {1 Snapshots} *)
 

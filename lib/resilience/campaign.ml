@@ -138,20 +138,14 @@ let run ?metrics ?profile ?domains spec ~trials =
   let domains =
     match domains with Some d -> d | None -> Pool.default_size ()
   in
-  let span f =
-    match profile with
-    | Some p ->
-      Profile.span p ~name:"resilience.campaign"
-        ~attrs:
-          [
-            ("trials", string_of_int (List.length trials));
-            ("backend", Emulator.backend_name spec.backend);
-            ("domains", string_of_int domains);
-          ]
-        f
-    | None -> f ()
-  in
-  span @@ fun () ->
+  Profile.span profile ~name:"resilience.campaign"
+    ~attrs:
+      [
+        ("trials", string_of_int (List.length trials));
+        ("backend", Emulator.backend_name spec.backend);
+        ("domains", string_of_int domains);
+      ]
+  @@ fun () ->
   let images = spec.dataset.Ax_data.Cifar.images in
   let labels = spec.dataset.Ax_data.Cifar.labels in
   let n_images = Array.length labels in

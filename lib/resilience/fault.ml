@@ -30,20 +30,14 @@ let pp_site ppf = function
 
 let pp ppf f = Format.fprintf ppf "%s@%a" (kind_name f.kind) pp_site f.site
 
-(* SplitMix64 finaliser on Int64 (OCaml's native int is 63-bit, so the
-   64-bit multiplies must go through Int64).  Every fault site is a pure
-   function of (seed, salts) through this mix — no hidden RNG state, so
-   campaigns replay bit-identically regardless of evaluation order. *)
-let mix64 x =
-  let open Int64 in
-  let x = mul (logxor x (shift_right_logical x 30)) 0xBF58476D1CE4E5B9L in
-  let x = mul (logxor x (shift_right_logical x 27)) 0x94D049BB133111EBL in
-  logxor x (shift_right_logical x 31)
-
-let golden = 0x9E3779B97F4A7C15L
-
+(* Every fault site is a pure function of (seed, salts) through the
+   SplitMix64 finaliser — no hidden RNG state, so campaigns replay
+   bit-identically regardless of evaluation order. *)
 let hash ~seed salts =
-  let step h s = mix64 (Int64.add (Int64.logxor h (Int64.of_int s)) golden) in
+  let golden = Ax_tensor.Rng.golden in
+  let step h s =
+    Ax_tensor.Rng.mix (Int64.add (Int64.logxor h (Int64.of_int s)) golden)
+  in
   let h = List.fold_left step (step golden seed) salts in
   (* top bits of the mix have the best avalanche; keep 62 so the result
      is a non-negative OCaml int on 64-bit platforms *)

@@ -9,6 +9,7 @@ let mix z =
   logxor z (shift_right_logical z 31)
 
 let create seed = { state = mix (Int64.of_int seed) }
+let of_state state = { state }
 let copy t = { state = t.state }
 
 let next_int64 t =
@@ -19,6 +20,8 @@ let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   let x = Int64.shift_right_logical (next_int64 t) 1 in
   Int64.to_int (Int64.rem x (Int64.of_int bound))
+
+let bool t = Int64.logand (next_int64 t) 1L = 1L
 
 let float t =
   let bits = Int64.shift_right_logical (next_int64 t) 11 in

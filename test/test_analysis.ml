@@ -490,7 +490,6 @@ let test_registry_multipliers_clean () =
 (* --- pre-flight ----------------------------------------------------- *)
 
 let test_assert_runnable_rejects () =
-  Alcotest.(check bool) "enabled by default" true (Check.enabled ());
   match Check.assert_runnable ~input:input_shape (ax_graph ~swap:true ()) with
   | () -> Alcotest.fail "expected Rejected"
   | exception D.Rejected ds ->
@@ -504,6 +503,23 @@ let test_emulator_preflight () =
   with
   | _ -> Alcotest.fail "expected Rejected"
   | exception D.Rejected _ -> ()
+
+(* A graph that ran once is checked again for a new input shape: the
+   second run must be rejected at the door, not fail inside a conv. *)
+let test_preflight_rechecks_new_shape () =
+  let g =
+    Tfapprox.Emulator.approximate_model ~multiplier:"mul8u_trunc8"
+      (Ax_models.Lenet.build ())
+  in
+  let run input =
+    Tfapprox.Emulator.run ~backend:Tfapprox.Emulator.Cpu_gemm g
+      (Ax_tensor.Tensor.create input)
+  in
+  ignore (run (Ax_models.Lenet.input_shape ~batch:1));
+  match run (Shape.make ~n:1 ~h:32 ~w:32 ~c:3) with
+  | _ -> Alcotest.fail "expected Rejected"
+  | exception D.Rejected ds ->
+    Alcotest.(check bool) "error findings carried" true (ds <> [])
 
 let test_every_rule_id_is_well_formed () =
   (* The catalogue is the contract: ids are family/slug, descriptions
@@ -582,6 +598,8 @@ let () =
             test_assert_runnable_rejects;
           Alcotest.test_case "Emulator.run pre-flight" `Quick
             test_emulator_preflight;
+          Alcotest.test_case "new input shape re-checked" `Quick
+            test_preflight_rechecks_new_shape;
           Alcotest.test_case "rule catalogue well-formed" `Quick
             test_every_rule_id_is_well_formed;
         ] );

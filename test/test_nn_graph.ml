@@ -345,8 +345,8 @@ let test_profile_phases_partition_time () =
 
 let test_profile_nested_no_double_count () =
   let p = Profile.create () in
-  Profile.time p Profile.Other (fun () ->
-      Profile.time p Profile.Lut (fun () ->
+  Profile.time (Some p) Profile.Other (fun () ->
+      Profile.time (Some p) Profile.Lut (fun () ->
           (* busy-wait a little so the inner phase records time *)
           let deadline = Unix.gettimeofday () +. 0.01 in
           while Unix.gettimeofday () < deadline do () done));
@@ -362,6 +362,46 @@ let test_profile_reset () =
   Profile.reset p;
   check_float "cleared" 0. (Profile.total_seconds p);
   check_int "lookups cleared" 0 (Profile.lut_lookups p)
+
+(* --- filter range --- *)
+
+(* [min_max] is called per AxConv2D node by [Transform.approximate] and
+   the graph checker: its result must keep the comparison semantics (a
+   NaN first weight poisons both ends, a later NaN is skipped) and one
+   call may allocate only its result, however many weights it reads. *)
+let test_filter_min_max () =
+  let f = random_filter ~seed:3 ~kh:3 ~kw:3 ~in_c:32 ~out_c:32 in
+  let data = Filter.to_array f in
+  let reference d =
+    Array.fold_left
+      (fun (mn, mx) v -> ((if v < mn then v else mn), if v > mx then v else mx))
+      (d.(0), d.(0)) d
+  in
+  let mn, mx = Filter.min_max f in
+  let rmn, rmx = reference data in
+  check_bool "min and max match the reference" true (mn = rmn && mx = rmx);
+  let with_nan i =
+    let d = Array.copy data in
+    d.(i) <- Float.nan;
+    Filter.of_array ~kh:3 ~kw:3 ~in_c:32 ~out_c:32 d
+  in
+  let mn0, mx0 = Filter.min_max (with_nan 0) in
+  check_bool "NaN first weight poisons both ends" true
+    (Float.is_nan mn0 && Float.is_nan mx0);
+  let d5 = Array.copy data in
+  d5.(5) <- Float.nan;
+  check_bool "later NaN skipped as before" true
+    (Filter.min_max (with_nan 5) = reference d5);
+  let calls = 10 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (Filter.min_max f))
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int calls in
+  check_bool
+    (Printf.sprintf "%.0f words per call over %d weights <= 16" words
+       (Array.length data))
+    true (words <= 16.)
 
 let () =
   Alcotest.run "ax_nn_graph"
@@ -393,6 +433,8 @@ let () =
           Alcotest.test_case "select subset" `Quick test_transform_select_subset;
           Alcotest.test_case "per-layer configs" `Quick
             test_per_layer_transform;
+          Alcotest.test_case "filter min_max allocation bounded" `Quick
+            test_filter_min_max;
         ] );
       ( "exec",
         [

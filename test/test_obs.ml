@@ -5,7 +5,6 @@
 module Json = Ax_obs.Json
 module Metrics = Ax_obs.Metrics
 module Trace = Ax_obs.Trace
-module Phases = Ax_obs.Phases
 module Profile = Ax_nn.Profile
 module Emulator = Tfapprox.Emulator
 module Resnet = Ax_models.Resnet
@@ -524,80 +523,86 @@ let busy () =
   ignore !acc
 
 let test_phases_partition () =
-  let p = Phases.create () in
+  let p = Profile.create () in
   let start = Unix.gettimeofday () in
-  Phases.time p "outer" (fun () ->
+  Profile.time (Some p) Profile.Other (fun () ->
       busy ();
-      Phases.time p "inner" busy;
+      Profile.time (Some p) Profile.Quantization busy;
       busy ());
   let elapsed = Unix.gettimeofday () -. start in
   check_bool "both phases charged" true
-    (Phases.seconds p "inner" > 0. && Phases.seconds p "outer" >= 0.);
+    (Profile.seconds p Profile.Quantization > 0.
+    && Profile.seconds p Profile.Other >= 0.);
   check_bool "phases partition elapsed time" true
-    (abs_float (Phases.total p -. elapsed) < 1e-3)
-
-let test_phases_json_and_names () =
-  let p = Phases.create () in
-  Phases.add_seconds p "lut" 1.5;
-  Phases.add_seconds p "init" 0.5;
-  check_bool "names sorted" true (Phases.names p = [ "init"; "lut" ]);
-  let parsed = Json.parse (Json.to_string (Phases.to_json p)) in
-  check_bool "phase exported" true
-    (Option.bind (Json.member "lut" parsed) Json.get_float = Some 1.5)
+    (abs_float (Profile.total_seconds p -. elapsed) < 1e-3);
+  (* A raising thunk still settles its charge and unwinds the nesting. *)
+  (try Profile.time (Some p) Profile.Init (fun () -> failwith "boom")
+   with Failure _ -> ());
+  Profile.time (Some p) Profile.Lut busy;
+  check_bool "charge after a raise is not refunded from Init" true
+    (Profile.seconds p Profile.Init >= 0. && Profile.seconds p Profile.Lut > 0.)
 
 let allocate () =
   (* Enough boxed floats to guarantee minor-heap traffic. *)
   let l = List.init 50_000 (fun i -> float_of_int i +. 0.5) in
   ignore (List.fold_left ( +. ) 0. l)
 
+let phases = [ Profile.Init; Profile.Quantization; Profile.Lut; Profile.Other ]
+
+let total_words p =
+  List.fold_left (fun acc ph -> acc +. Profile.minor_words p ph) 0. phases
+
 let test_phases_gc_attribution () =
-  let p = Phases.create () in
-  Phases.time p "outer" (fun () ->
-      Phases.time p "alloc" allocate);
-  let inner = Phases.gc_delta p "alloc" in
+  let p = Profile.create () in
+  let before = Gc.minor_words () in
+  Profile.time (Some p) Profile.Other (fun () ->
+      Profile.time (Some p) Profile.Lut allocate);
+  let flat = Gc.minor_words () -. before in
+  let inner = Profile.minor_words p Profile.Lut in
   check_bool "allocation charged to the allocating phase" true
-    (inner.Phases.minor_words > 0.);
-  (* Partition semantics: the outer phase is refunded, so the total
-     equals what one flat measurement would have seen. *)
-  let total = Phases.gc_total p in
-  let outer = Phases.gc_delta p "outer" in
-  check_bool "outer + inner = total" true
-    (abs_float
-       (outer.Phases.minor_words +. inner.Phases.minor_words
-       -. total.Phases.minor_words)
-    < 1.);
+    (inner >= 100_000.);
+  (* Partition semantics: the outer phase is refunded, so the phases
+     sum to what one flat measurement around the call saw. *)
+  check_bool "outer refunded" true
+    (abs_float (Profile.minor_words p Profile.Other) < 64.);
+  check_bool "outer + inner = flat" true (abs_float (total_words p -. flat) < 64.);
   check_bool "never-charged phase reads zero" true
-    (Phases.gc_delta p "nope" = Phases.gc_zero);
-  let sum = Phases.gc_add inner Phases.gc_zero in
-  check_bool "gc_add identity" true (sum = inner);
-  (* External charging (the shard-merge path). *)
-  let q = Phases.create () in
-  Phases.add_gc q "alloc" inner;
-  check_bool "add_gc folds in" true
-    ((Phases.gc_delta q "alloc").Phases.minor_words
-    = inner.Phases.minor_words)
+    (Profile.minor_words p Profile.Init = 0.);
+  (* The shard-merge path folds words and seconds in. *)
+  let q = Profile.create () in
+  Profile.merge ~into:q p;
+  Profile.merge ~into:q p;
+  check_bool "merge folds words in" true
+    (Profile.minor_words q Profile.Lut = 2. *. inner);
+  check_bool "merge folds seconds in" true
+    (Profile.seconds q Profile.Lut = 2. *. Profile.seconds p Profile.Lut)
 
 let test_phases_gc_json_and_publish () =
-  let p = Phases.create () in
-  Phases.time p "alloc" allocate;
-  let parsed = Json.parse (Json.to_string (Phases.gc_to_json p)) in
-  check_bool "phase gc exported" true
+  let p = Profile.create () in
+  Profile.time (Some p) Profile.Lut allocate;
+  Profile.publish_gc p;
+  let snap = Metrics.snapshot (Profile.metrics p) in
+  check_bool "per-phase gauge published" true
+    (match Metrics.find_gauge snap "phase_lut_minor_words" with
+    | Some v -> v = Profile.minor_words p Profile.Lut && v > 0.
+    | None -> false);
+  check_bool "every phase has a gauge" true
+    (List.for_all
+       (fun name -> Metrics.find_gauge snap name <> None)
+       [
+         "phase_init_minor_words";
+         "phase_quantization_minor_words";
+         "phase_other_minor_words";
+       ]);
+  let parsed = Json.parse (Json.to_string (Metrics.to_json snap)) in
+  check_bool "phase gauge exported to json" true
     (match
-       Option.bind (Json.member "alloc" parsed) (fun o ->
-           Option.bind (Json.member "minor_words" o) Json.get_float)
+       Option.bind (Json.member "gauges" parsed) (fun o ->
+           Option.bind (Json.member "phase_lut_minor_words" o) Json.get_float)
      with
     | Some v -> v > 0.
     | None -> false);
-  let m = Metrics.create () in
-  Phases.publish_gc p m;
-  let snap = Metrics.snapshot m in
-  check_bool "per-phase gauge published" true
-    (match Metrics.find_gauge snap "phase_alloc_minor_words" with
-    | Some v -> v > 0.
-    | None -> false);
-  (* Process-lifetime readings are one observe_gc away. *)
-  Metrics.observe_gc m;
-  let snap = Metrics.snapshot m in
+  (* Process-lifetime readings ride along. *)
   check_bool "gc_minor_words gauge" true
     (match Metrics.find_gauge snap "gc_minor_words" with
     | Some v -> v > 0.
@@ -605,16 +610,42 @@ let test_phases_gc_json_and_publish () =
   check_bool "gc_heap_words gauge" true
     (Metrics.find_gauge snap "gc_heap_words" <> None)
 
+(* What one charge costs on the minor heap: the ledger reads the clock
+   and [Gc.minor_words] unboxed, so a charge allocates a handful of
+   words instead of two [Gc.quick_stat] records. *)
+let test_phases_charge_allocation () =
+  let p = Some (Profile.create ()) in
+  let empty () = () in
+  let per_call f =
+    for _ = 1 to 100 do
+      f ()
+    done;
+    let n = 10_000 in
+    let before = Gc.minor_words () in
+    for _ = 1 to n do
+      f ()
+    done;
+    (Gc.minor_words () -. before) /. float_of_int n
+  in
+  let flat = per_call (fun () -> Profile.time p Profile.Lut empty) in
+  let nested =
+    per_call (fun () ->
+        Profile.time p Profile.Other (fun () -> Profile.time p Profile.Lut empty))
+  in
+  check_bool (Printf.sprintf "one charge: %.1f words <= 16" flat) true (flat <= 16.);
+  check_bool
+    (Printf.sprintf "nested pair: %.1f words <= 32" nested)
+    true (nested <= 32.)
+
 (* --- profile regression (the Fig. 2 view) --- *)
 
 let test_profile_nested_time_partitions () =
   let p = Profile.create () in
   let start = Unix.gettimeofday () in
-  Profile.time p Profile.Other (fun () ->
+  Profile.time (Some p) Profile.Other (fun () ->
       busy ();
-      Profile.time p Profile.Lut busy;
-      busy ())
-  |> ignore;
+      Profile.time (Some p) Profile.Lut busy;
+      busy ());
   let elapsed = Unix.gettimeofday () -. start in
   let lut = Profile.seconds p Profile.Lut
   and other = Profile.seconds p Profile.Other in
@@ -645,7 +676,7 @@ let test_profile_counters_and_reset () =
   Profile.count_lut_lookups p 10;
   Profile.count_macs p 20;
   Profile.count p "im2col_bytes" 30;
-  Profile.span p ~name:"x" (fun () -> ());
+  Profile.span (Some p) ~name:"x" (fun () -> ());
   check_int "lookups" 10 (Profile.lut_lookups p);
   check_int "macs" 20 (Profile.macs p);
   check_bool "custom counter in registry" true
@@ -829,11 +860,11 @@ let () =
       ( "phases",
         [
           Alcotest.test_case "partition" `Quick test_phases_partition;
-          Alcotest.test_case "json and names" `Quick
-            test_phases_json_and_names;
           Alcotest.test_case "gc attribution" `Quick test_phases_gc_attribution;
           Alcotest.test_case "gc json and publish" `Quick
             test_phases_gc_json_and_publish;
+          Alcotest.test_case "charge allocation bounded" `Quick
+            test_phases_charge_allocation;
         ] );
       ( "profile",
         [
